@@ -26,7 +26,6 @@
 #include "optimizer/code_motion.h"
 #include "optimizer/hidden_join.h"
 #include "optimizer/optimizer.h"
-#include "term/intern.h"
 #include "values/car_world.h"
 #include "verify/soundness.h"
 
@@ -156,7 +155,7 @@ Row MeasureSoundnessSweep(int repetitions) {
   }
 
   Row row;
-  row.name = "soundness_sweep/48_trials_x32_configs";
+  row.name = "soundness_sweep/48_trials_x8_configs";
   for (size_t level = 0; level < std::size(kJobsLevels); ++level) {
     double best = 0;
     for (int rep = 0; rep < repetitions; ++rep) {
@@ -177,8 +176,8 @@ Row MeasureSoundnessSweep(int repetitions) {
 }
 
 /// Accounting pass: the mixed batch re-run serially under a pure-meter
-/// governor (byte budget 0 never exhausts) with a private interner arena,
-/// so the JSON records the batch driver's peak charged bytes.
+/// governor (byte budget 0 never exhausts), so the JSON records the batch
+/// driver's peak charged bytes.
 int64_t MeasurePeakChargedBytes() {
   const PropertyStore properties = PropertyStore::Default();
   CarWorldOptions world;
@@ -188,8 +187,6 @@ int64_t MeasurePeakChargedBytes() {
   auto db = BuildCarWorld(world);
   Governor meter{Governor::Limits{}};
   ScopedMemoryGovernor memory_scope(&meter);
-  TermInterner arena;
-  ScopedInterning interning(&arena);
   RewriterOptions options = RewriterOptions::Defaults();
   options.governor = &meter;
   Optimizer optimizer(&properties, db.get(), options);

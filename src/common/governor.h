@@ -41,8 +41,8 @@ class Governor {
     /// Total steps (rule firings + evaluator ticks) across the whole
     /// request. 0 means unlimited.
     int64_t step_budget = 0;
-    /// Total bytes (interner arenas + fixpoint-cache entries + exploration
-    /// frontier + evaluator scratch) across the whole request. 0 means
+    /// Total bytes (interner arenas + exploration frontier + evaluator
+    /// scratch + rule indexes + e-graph) across the whole request. 0 means
     /// unlimited -- charges are still accounted so peak usage is
     /// observable, they just never fail.
     int64_t memory_budget_bytes = 0;
@@ -109,11 +109,12 @@ class Governor {
   mutable std::atomic<uint64_t> charges_{0};
 };
 
-/// The governor whose memory budget `TermInterner` charges arena growth to
-/// on THIS thread, or nullptr when interner memory is unaccounted. A
-/// thread-local ambient slot (like ActiveTermInterner / ActiveFaultInjector)
-/// because interning happens inside Term::Make, which has no options
-/// channel. Installed by Optimizer::Optimize around a governed pass.
+/// The governor whose memory budget `TermInterner::Intern` charges arena
+/// growth to on THIS thread, or nullptr when interner memory is unaccounted.
+/// A thread-local ambient slot (like ActiveFaultInjector) because an arena
+/// is shared by callers under different budgets and Intern has no options
+/// channel. Installed by Optimizer::Optimize around a governed pass, where
+/// plan exploration's dedup arena and the e-graph's arena intern.
 const Governor* ActiveMemoryGovernor();
 
 /// Installs `governor` (may be nullptr) as the calling thread's ambient

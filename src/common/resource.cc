@@ -8,8 +8,6 @@ const char* MemoryCategoryName(MemoryCategory category) {
   switch (category) {
     case MemoryCategory::kInternerArena:
       return "interner-arena";
-    case MemoryCategory::kFixpointCache:
-      return "fixpoint-cache";
     case MemoryCategory::kExploreFrontier:
       return "explore-frontier";
     case MemoryCategory::kEvalScratch:

@@ -13,14 +13,13 @@ namespace kola {
 /// kolash's :stats) can say WHICH structure blew the budget.
 enum class MemoryCategory {
   kInternerArena = 0,  // canonical terms held by a TermInterner
-  kFixpointCache,      // negative-match entries in FixpointCache
   kExploreFrontier,    // candidate plans held by ExploreJoinPlans
   kEvalScratch,        // values materialized by the evaluator
   kRuleIndex,          // compiled discrimination-tree rule indexes
   kEGraph,             // e-nodes and hashcons entries held by an EGraph
 };
 
-inline constexpr int kNumMemoryCategories = 6;
+inline constexpr int kNumMemoryCategories = 5;
 
 const char* MemoryCategoryName(MemoryCategory category);
 

@@ -60,13 +60,13 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const TermPtr& query,
   // (the delegate's private governor is non-null: no recursion).
   if (governor == nullptr) return Optimize(query);
   // A governed pass runs on a per-call Rewriter clone carrying the
-  // governor, so the member rewriter_ (and its cache pool) never aliases a
-  // budget that outlives the call.
+  // governor, so the member rewriter_ never aliases a budget that outlives
+  // the call.
   RewriterOptions options = rewriter_.options();
   options.governor = governor;
   Rewriter governed(rewriter_.properties(), options);
-  // Interner arena growth charges to the ambient per-thread governor
-  // (interning happens inside Term::Make, which has no options channel).
+  // The arenas this pass interns into (plan exploration's dedup arena, the
+  // e-graph's) charge their growth to the ambient per-thread governor.
   ScopedMemoryGovernor memory_scope(governor);
   return RunPipeline(query, governed, governor);
 }
@@ -264,9 +264,9 @@ std::vector<BatchOptimizeResult> Optimizer::OptimizeAll(
     for (size_t i = 0; i < count; ++i) run_one(*this, i);
     return entries;
   }
-  // One Optimizer clone per worker: each clone owns its Rewriter and
-  // fixpoint cache pool, so workers share only immutable inputs (the
-  // PropertyStore, the Database, the queries).
+  // One Optimizer clone per worker: each clone owns its Rewriter and cost
+  // model, so workers share only immutable inputs (the PropertyStore, the
+  // Database, the queries).
   const PropertyStore* properties = rewriter_.properties();
   const RewriterOptions options = rewriter_.options();
   std::atomic<size_t> next{0};

@@ -70,10 +70,10 @@ class Optimizer {
       : Optimizer(properties, db, RewriterOptions::Defaults()) {}
 
   /// As above, with explicit engine tunables -- the soundness harness uses
-  /// this to run the same pipeline with and without fixpoint memoization.
+  /// this to run the same pipeline with and without the rule index.
   Optimizer(const PropertyStore* properties, const Database* db,
             RewriterOptions options)
-      : rewriter_(properties, WithPooledCaches(options)),
+      : rewriter_(properties, options),
         cost_model_(db),
         db_(db) {}
 
@@ -99,8 +99,8 @@ class Optimizer {
   /// worker threads; entries come back in input order and each OK entry is
   /// byte-identical to what Optimize(queries[i], governor) returns,
   /// whatever `jobs` is (a worker owns its whole Optimizer clone --
-  /// rewriter, fixpoint cache pool, cost model -- so there is no
-  /// cross-thread engine state, and Optimize itself is deterministic).
+  /// rewriter and cost model -- so there is no cross-thread engine state,
+  /// and Optimize itself is deterministic).
   /// Queries are isolated: one entry failing (worker death, exception)
   /// carries its own non-OK status and leaves every other entry intact.
   /// `governor`, when set, is shared by all workers: one budget for the
@@ -117,16 +117,6 @@ class Optimizer {
   const Database* database() const { return db_; }
 
  private:
-  /// The optimizer pipeline re-enters Fixpoint with the same rule blocks
-  /// for every query, so its private Rewriter keeps per-fingerprint caches
-  /// alive across calls (the per-worker cache of OptimizeAll). This is why
-  /// an Optimizer instance must not be shared across threads: clone one per
-  /// worker, as OptimizeAll does.
-  static RewriterOptions WithPooledCaches(RewriterOptions options) {
-    options.reuse_fixpoint_caches = true;
-    return options;
-  }
-
   StatusOr<OptimizeResult> RunPipeline(const TermPtr& query,
                                        const Rewriter& rewriter,
                                        const Governor* governor) const;

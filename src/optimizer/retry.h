@@ -75,7 +75,7 @@ struct RetryOutcome {
 class RetrySupervisor {
  public:
   /// `optimizer` is borrowed and must outlive the supervisor. Its
-  /// RewriterOptions (memoization, cache capacity...) are inherited by the
+  /// RewriterOptions (rule index, e-graph phase...) are inherited by the
   /// per-worker clones OptimizeAll creates.
   RetrySupervisor(const Optimizer* optimizer, RetryOptions options);
 

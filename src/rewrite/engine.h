@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/governor.h"
@@ -44,128 +43,14 @@ struct Trace {
 
 /// A stable fingerprint of a rule set (ids, both sides, conditions). Two
 /// rule vectors with the same fingerprint rewrite identically; keys the
-/// FixpointCache pools and the compiled RuleIndex cache, and is safe to
-/// persist: it is computed from explicit FNV-1a/mix steps over the rules'
-/// syntax, never from std::hash or Term::hash (both implementation-defined),
-/// so the value is identical across platforms and standard libraries.
+/// compiled RuleIndex cache and the plan cache, and is safe to persist: it
+/// is computed from explicit FNV-1a/mix steps over the rules' syntax, never
+/// from std::hash or Term::hash (both implementation-defined), so the value
+/// is identical across platforms and standard libraries.
 uint64_t RuleSetFingerprint(const std::vector<Rule>& rules);
-
-/// Negative-match memo for Fixpoint: records, per rule of a fingerprinted
-/// rule set, the subterms in which that rule provably fires nowhere. Keyed
-/// by term identity -- with interning enabled (term/intern.h) structurally
-/// equal terms share a pointer, so re-derived plans short-circuit too. The
-/// cache holds owning references, so keys stay unique for its lifetime.
-///
-/// Reusable across Fixpoint calls (e.g. the cleanup passes of plan
-/// exploration); a call with a different rule-set fingerprint resets it.
-/// Assumes the PropertyStore consulted by rule conditions does not change
-/// while the cache is live. Memoization never changes results or traces:
-/// only already-failed (rule, subterm) probes are skipped.
-///
-/// Capacity-bounded: past `capacity` entries, inserting evicts one old
-/// entry by deterministic second-chance (clock) replacement -- a hit sets
-/// the entry's referenced bit, the clock hand sweeps the insertion-ordered
-/// ring clearing bits until it finds an unreferenced victim. Eviction is
-/// purely a function of the probe/insert sequence (no pointers, no wall
-/// clock), and losing an entry only costs a re-probe, so results and
-/// traces stay byte-identical at any capacity. Entry bytes are charged to
-/// the bound governor's memory budget (see BindGovernor); a failed charge
-/// just stops the cache growing.
-class FixpointCache {
- public:
-  FixpointCache() = default;
-  ~FixpointCache() { charge_.ReleaseAll(); }
-  FixpointCache(const FixpointCache&) = delete;
-  FixpointCache& operator=(const FixpointCache&) = delete;
-
-  void Reset();
-
-  /// Number of memoized (rule, subterm) failure entries.
-  size_t size() const { return slots_.size(); }
-
-  /// Maximum entries held; 0 means unbounded. Takes effect on the next
-  /// insert; set it before the cache fills (shrinking a full cache below
-  /// its size is not supported).
-  void set_capacity(size_t capacity) { capacity_ = capacity; }
-  size_t capacity() const { return capacity_; }
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
-  uint64_t fingerprint() const { return fingerprint_; }
-
-  /// Estimated bytes per cache entry (slot + index node + key reference),
-  /// the unit of kFixpointCache memory charges.
-  static int64_t EntryFootprintBytes();
-
- private:
-  friend class Rewriter;
-
-  struct PtrHash {
-    size_t operator()(const Term* t) const {
-      return std::hash<const Term*>{}(t);
-    }
-  };
-
-  /// One memoized failure: `rule_index` provably fires nowhere in `term`.
-  struct Slot {
-    TermPtr term;
-    uint32_t rule_index = 0;
-    bool referenced = false;  // second-chance bit, set on hit
-  };
-
-  /// Binds the cache to `fingerprint` over `rule_count` rules, resetting
-  /// when it was attuned to a different rule set.
-  void Attune(uint64_t fingerprint, size_t rule_count);
-
-  /// Points entry charges at `governor`'s memory budget (nullptr detaches;
-  /// the governor must outlive the cache or its Reset).
-  void BindGovernor(const Governor* governor);
-
-  /// True when (rule_index, term) is memoized as failed; counts hits and
-  /// misses and refreshes the second-chance bit.
-  bool CheckFailed(size_t rule_index, const TermPtr& term);
-
-  /// Memoizes (rule_index, term) as failed, evicting if at capacity.
-  void RecordFailed(size_t rule_index, TermPtr term);
-
-  /// Clock sweep: frees one slot's contents and returns its index.
-  size_t EvictOne();
-
-  uint64_t fingerprint_ = 0;
-  size_t rule_count_ = 0;
-  size_t capacity_ = 0;
-  std::vector<Slot> slots_;  // insertion-ordered ring once at capacity
-  size_t hand_ = 0;          // clock hand over slots_
-  /// (rule, term pointer) -> slot index, one map per rule.
-  std::vector<std::unordered_map<const Term*, size_t, PtrHash>> index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
-  const Governor* bound_governor_ = nullptr;
-  MemoryCharge charge_;
-};
 
 /// Tunables for the rewrite engine.
 struct RewriterOptions {
-  /// Memoize failed (rule, subterm) probes inside Fixpoint. On by default:
-  /// it is trace-preserving. Defaults() honours the KOLA_NO_FIXPOINT_MEMO
-  /// environment variable (set to a truthy value -- see common/env.h -- to
-  /// disable), so benchmarks can measure the un-memoized engine without
-  /// code changes.
-  bool memoize_fixpoint = true;
-
-  /// Keep one FixpointCache per rule-set fingerprint alive inside the
-  /// Rewriter and reuse it across Fixpoint calls, instead of a fresh
-  /// per-call memo. The optimizer pipeline turns this on for its private
-  /// Rewriter: each worker thread owns one Optimizer, so the pool is the
-  /// "per-worker cache" of the batch driver -- negative matches learned on
-  /// one query carry to the next without any cross-thread sharing.
-  /// Requires the caller's PropertyStore to stay fixed for the Rewriter's
-  /// lifetime, and makes the Rewriter instance single-threaded (share
-  /// nothing: one Rewriter per worker). Off by default.
-  bool reuse_fixpoint_caches = false;
-
   /// Shared resource budget for every Fixpoint driven through this
   /// Rewriter: each rule firing charges one step, and the deadline is
   /// probed once per firing, so a non-terminating or merely slow rule set
@@ -174,12 +59,6 @@ struct RewriterOptions {
   /// max_steps caps always still apply. Not owned; must outlive the
   /// Rewriter.
   const Governor* governor = nullptr;
-
-  /// Entry bound for every FixpointCache a Fixpoint call uses (per-call,
-  /// pooled, or caller-owned): past it, deterministic second-chance
-  /// eviction recycles old entries. 0 disables the bound. Results and
-  /// traces are identical at any value; only re-probe work changes.
-  size_t fixpoint_cache_capacity = 1 << 16;
 
   /// Convenience byte budget: when set (and no explicit Governor is passed
   /// to Optimizer::Optimize), the optimizer runs the pass under a private
@@ -273,64 +152,39 @@ class Rewriter {
   /// Repeats ApplyAnyOnce until no rule fires. RESOURCE_EXHAUSTED after
   /// `max_steps` firings (non-terminating rule sets are a bug in the
   /// caller's rule selection, but must not hang the optimizer).
-  ///
-  /// `cache` (optional) is a caller-owned negative-match memo reused across
-  /// calls with the same rule set; when nullptr, a per-call memo is used
-  /// (unless options.memoize_fixpoint is off). Results and traces are
-  /// byte-identical with or without memoization.
   StatusOr<TermPtr> Fixpoint(const std::vector<Rule>& rules, TermPtr term,
-                             Trace* trace, int max_steps = 10'000,
-                             FixpointCache* cache = nullptr) const;
+                             Trace* trace, int max_steps = 10'000) const;
 
   const PropertyStore* properties() const { return properties_; }
   const RewriterOptions& options() const { return options_; }
 
-  /// Aggregate counters over the pooled per-fingerprint caches (all zero
-  /// when reuse_fixpoint_caches is off). For stats displays.
-  struct CacheStats {
-    size_t caches = 0;
-    size_t entries = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  CacheStats PooledCacheStats() const;
-
  private:
   bool ConditionsHold(const Rule& rule, const Bindings& bindings) const;
 
-  /// `memo`/`rule_index` select this rule's failed-subterm set; both are
-  /// ignored when memo is nullptr.
   std::optional<TermPtr> ApplyOnceImpl(const Rule& rule, const TermPtr& term,
                                        std::vector<size_t>* path,
-                                       RewriteStep* step, FixpointCache* memo,
-                                       size_t rule_index) const;
+                                       RewriteStep* step) const;
 
-  std::optional<TermPtr> ApplyAnyOnceMemo(const std::vector<Rule>& rules,
-                                          const TermPtr& term,
-                                          RewriteStep* step,
-                                          FixpointCache* memo) const;
+  /// The rule-major linear scan: each rule in order at leftmost-outermost.
+  std::optional<TermPtr> LinearApplyAnyOnce(const std::vector<Rule>& rules,
+                                            const TermPtr& term,
+                                            RewriteStep* step) const;
 
-  /// The indexed equivalent of ApplyAnyOnceMemo: one pre-order descent
+  /// The indexed equivalent of LinearApplyAnyOnce: one pre-order descent
   /// testing only each node's index candidates, returning the same rule
   /// fired at the same position as the rule-major linear scan (see the
   /// determinism argument in engine.cc).
   std::optional<TermPtr> IndexedApplyAnyOnce(const std::vector<Rule>& rules,
                                              const TermPtr& term,
                                              RewriteStep* step,
-                                             FixpointCache* memo,
                                              const RuleIndex& index) const;
 
   const PropertyStore* properties_;
   RewriterOptions options_;
-  /// Per-fingerprint caches when options_.reuse_fixpoint_caches is set.
-  /// Mutable because Fixpoint is logically const (memoization never changes
-  /// results or traces); unsynchronized, see RewriterOptions.
-  mutable std::unordered_map<uint64_t, FixpointCache> cache_pool_;
   /// Compiled-index references held by this Rewriter (the indexes
   /// themselves are shared process-wide by fingerprint); the mutex makes
   /// acquisition safe even for a const Rewriter probed from several
-  /// threads, unlike the single-threaded-by-contract cache pool above.
+  /// threads.
   mutable std::mutex index_mu_;
   mutable std::unordered_map<uint64_t, std::shared_ptr<const RuleIndex>>
       index_pool_;

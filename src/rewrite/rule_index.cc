@@ -96,7 +96,8 @@ std::shared_ptr<const RuleIndex> RuleIndex::Build(
   int64_t bytes = static_cast<int64_t>(sizeof(RuleIndex));
   for (const auto& [sym, bucket] : index->buckets_) {
     // Hash node + bucket vector + per-entry child keys; deliberately on the
-    // generous side, like FixpointCache::EntryFootprintBytes.
+    // generous side so tight budgets trip before the allocator is in
+    // trouble.
     bytes += static_cast<int64_t>(6 * sizeof(void*));
     for (const Entry& entry : bucket.entries) {
       bytes += static_cast<int64_t>(sizeof(Entry) +
@@ -148,8 +149,8 @@ struct IndexCache {
 };
 
 IndexCache& GlobalIndexCache() {
-  // Leaked, like GlobalTermInterner: compiled indexes may be referenced
-  // during static teardown by whoever shares them.
+  // Leaked intentionally: compiled indexes may be referenced during static
+  // teardown by whoever shares them.
   static IndexCache* cache = new IndexCache();
   return *cache;
 }
@@ -168,7 +169,7 @@ std::shared_ptr<const RuleIndex> AcquireRuleIndex(
         return it->second;
       }
       // Fingerprint collision between distinct rule sets: serve a private
-      // build, cache nothing (the same defense Attune gives FixpointCache).
+      // build, cache nothing.
       ++cache.misses;
       return RuleIndex::Build(rules, fingerprint);
     }
@@ -201,9 +202,9 @@ RuleIndexCacheStats GetRuleIndexCacheStats() {
 }
 
 bool RuleIndexDisabledByEnv() {
-  // Latched exactly once, like LatchGlobalInterningFromEnv: flipping the
-  // variable after startup must not let half a run use the index and half
-  // not, or the byte-identity contract with the linear scan gets murky.
+  // Latched exactly once: flipping the variable after startup must not let
+  // half a run use the index and half not, or the byte-identity contract
+  // with the linear scan gets murky.
   static const bool disabled = EnvFlagEnabled("KOLA_NO_RULE_INDEX");
   return disabled;
 }

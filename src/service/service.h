@@ -180,12 +180,12 @@ int LatencyBucket(int64_t usec);
 
 /// The engine behind `kolad`: parses KOLA/OQL/AQUA text, optimizes under
 /// per-tenant QoS tiers, and answers repeated query shapes from the plan
-/// cache. Composes the existing library primitives -- per-request private
-/// interner arenas (ScopedInterning), per-tier Governor envelopes,
-/// RetrySupervisor escalation, pooled per-worker Optimizers -- into one
-/// long-lived, shed-don't-crash component. Thread-safe: Handle may be
-/// called from any number of threads; optimizations are serialized onto
-/// options.jobs pooled Optimizer instances.
+/// cache. Composes the existing library primitives -- a shared key
+/// interner, per-tier Governor envelopes, RetrySupervisor escalation,
+/// pooled per-worker Optimizers -- into one long-lived, shed-don't-crash
+/// component. Thread-safe: Handle may be called from any number of
+/// threads; optimizations are serialized onto options.jobs pooled Optimizer
+/// instances.
 class OptimizationService {
  public:
   /// `db` and `properties` must outlive the service and stay unmodified
@@ -196,8 +196,8 @@ class OptimizationService {
   OptimizationService(const OptimizationService&) = delete;
   OptimizationService& operator=(const OptimizationService&) = delete;
 
-  /// Serves one request end to end: parse (private interner arena),
-  /// canonicalize, cache probe, optimize under the tier's envelope with
+  /// Serves one request end to end: parse, canonicalize in the key
+  /// interner, cache probe, optimize under the tier's envelope with
   /// retry escalation, cache fill. Never throws; every failure is a Status
   /// in the response.
   ServiceResponse Handle(const ServiceRequest& request);

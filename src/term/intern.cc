@@ -1,13 +1,10 @@
 #include "term/intern.h"
 
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
 #include "common/fault_injection.h"
 #include "common/governor.h"
-#include "common/macros.h"
 
 namespace kola {
 
@@ -27,56 +24,7 @@ std::mutex& TagMutex() {
   return *mu;
 }
 
-/// The process-wide KOLA_INTERN default, read exactly once.
-struct EnvLatch {
-  std::once_flag once;
-  bool enabled = false;
-};
-
-EnvLatch& GlobalEnvLatch() {
-  static EnvLatch* latch = new EnvLatch();
-  return *latch;
-}
-
-TermInterner*& ActiveSlot() {
-  // Per-thread slot, initialized from the latched env default the first
-  // time the thread consults it. ScopedInterning edits only this thread's
-  // slot, so concurrent workers can run interning-on and interning-off
-  // pipeline configs side by side.
-  thread_local TermInterner* active =
-      LatchGlobalInterningFromEnv() ? &GlobalTermInterner() : nullptr;
-  return active;
-}
-
 }  // namespace
-
-size_t InternMinNodes() {
-  // Latched on first use, like the KOLA_INTERN default: the floor must not
-  // move mid-run or equal terms built before and after the move would
-  // disagree on canonicality within one region.
-  static const size_t floor = [] {
-    constexpr size_t kDefault = 8;  // == engine.cc kFixpointMemoMinNodes
-    const char* raw = std::getenv("KOLA_INTERN_MIN_NODES");
-    if (raw == nullptr || *raw == '\0') return kDefault;
-    char* end = nullptr;
-    const long value = std::strtol(raw, &end, 10);
-    if (end == raw || *end != '\0' || value < 1) return kDefault;
-    return static_cast<size_t>(value);
-  }();
-  return floor;
-}
-
-bool LatchGlobalInterningFromEnv() {
-  EnvLatch& latch = GlobalEnvLatch();
-  std::call_once(latch.once,
-                 [&] { latch.enabled = EnvFlagEnabled("KOLA_INTERN"); });
-  // A KOLA_INTERN value that changed after the latch (setenv mid-run) used
-  // to mean "whichever thread touched a term first wins"; make it loud.
-  const bool kola_intern_env_unchanged_since_latch =
-      EnvFlagEnabled("KOLA_INTERN") == latch.enabled;
-  KOLA_CHECK(kola_intern_env_unchanged_since_latch);
-  return latch.enabled;
-}
 
 TermInterner::TermInterner() : epoch_(NextEpoch()) {}
 
@@ -257,29 +205,5 @@ void TermInterner::Clear() {
   epoch_.store(NextEpoch(), std::memory_order_release);
   next_id_.store(1, std::memory_order_relaxed);
 }
-
-TermInterner& GlobalTermInterner() {
-  // Leaked intentionally: interned terms may outlive static teardown order.
-  static TermInterner* instance = new TermInterner();
-  return *instance;
-}
-
-TermInterner* ActiveTermInterner() { return ActiveSlot(); }
-
-TermInterner* ExchangeActiveTermInterner(TermInterner* interner) {
-  TermInterner*& slot = ActiveSlot();
-  TermInterner* previous = slot;
-  slot = interner;
-  return previous;
-}
-
-bool SetGlobalInterningEnabled(bool enabled) {
-  TermInterner*& slot = ActiveSlot();
-  bool previous = slot != nullptr;
-  slot = enabled ? &GlobalTermInterner() : nullptr;
-  return previous;
-}
-
-bool GlobalInterningEnabled() { return ActiveSlot() != nullptr; }
 
 }  // namespace kola

@@ -74,8 +74,7 @@ class TermInterner {
   /// reference destroys the term and its (stale) epoch tag with it, so the
   /// "same epoch => structurally distinct pointers" invariant Equal relies
   /// on is untouched, and a re-interned equal term is simply a fresh miss
-  /// with a fresh id (ids stay unique, no longer dense). Called by
-  /// ScopedInterning when an interning region ends.
+  /// with a fresh id (ids stay unique, no longer dense).
   size_t Compact();
 
   /// Estimated heap footprint of one term node (used for byte accounting;
@@ -109,88 +108,6 @@ class TermInterner {
   std::atomic<uint64_t> epoch_{0};
   std::atomic<TermId> next_id_{1};
   Shard shards_[kShards];
-};
-
-/// The process-wide interner used by `Term::Make` when global interning is
-/// enabled. Lives forever; never destroyed during static teardown. Shared
-/// by every thread whose active slot points at it (the sharding above makes
-/// that safe).
-TermInterner& GlobalTermInterner();
-
-/// The interner `Term::Make` currently canonicalizes through on THIS
-/// thread, or nullptr when construction-time interning is disabled. The
-/// slot is thread-local: each thread starts from the process-wide latched
-/// KOLA_INTERN default (see LatchGlobalInterningFromEnv) and toggles
-/// independently, so one worker running an interning pipeline config never
-/// flips interning under a sibling running a plain config.
-TermInterner* ActiveTermInterner();
-
-/// Minimum node_count at which Term::Make routes a freshly built term
-/// through the active interner. Terms below the floor are cheaper to
-/// rebuild (and structurally compare) than to hash-cons -- the shard lock
-/// plus hash on a 3-node spine that never re-occurs is pure overhead, which
-/// is what held the small-workload interning benchmarks below 1.0x -- so
-/// Make skips them. The floor deliberately matches the FixpointCache's
-/// kFixpointMemoMinNodes: terms the memo would never key are exactly the
-/// terms whose canonical pointer buys nothing. Explicit TermInterner::
-/// Intern calls ignore the floor and canonicalize the whole subtree, so
-/// deduplication points (plan frontiers, caches) still get fully canonical
-/// trees. Latched once from KOLA_INTERN_MIN_NODES (default 8; values < 1
-/// fall back to the default).
-size_t InternMinNodes();
-
-/// Latches the KOLA_INTERN default exactly once per process and returns it.
-/// Called implicitly by the first ActiveTermInterner / ScopedInterning /
-/// SetGlobalInterningEnabled on any thread, so the ordering between an
-/// early ScopedInterning and the lazy env read is well-defined: the env
-/// value is always consulted first, exactly once, and scoped toggles apply
-/// on top of it. Call it explicitly at startup to pin the latch point.
-/// Aborts with a KOLA_CHECK diagnostic if KOLA_INTERN is observed with a
-/// different truthiness after latching (setenv after startup is a bug, and
-/// used to silently race the latch).
-bool LatchGlobalInterningFromEnv();
-
-/// Enables/disables routing `Term::Make` through GlobalTermInterner() on
-/// the calling thread. Returns the previous setting for this thread.
-bool SetGlobalInterningEnabled(bool enabled);
-bool GlobalInterningEnabled();
-
-/// Points the calling thread's active-arena slot at `interner` (nullptr
-/// disables construction-time interning). Returns the previous slot value.
-/// Prefer ScopedInterning, which restores and compacts on scope exit.
-TermInterner* ExchangeActiveTermInterner(TermInterner* interner);
-
-/// RAII toggle for construction-time interning, for tests, benchmarks and
-/// per-worker pipeline configs. Thread-local:
-///   { ScopedInterning on(true);  ... Term::Make results canonical ... }
-/// only affects Term::Make calls made by the entering thread, and only for
-/// terms of at least InternMinNodes() nodes (smaller spines stay
-/// un-interned unless explicitly Interned).
-///
-/// The bool form routes through the process-wide GlobalTermInterner(); the
-/// pointer form routes through a caller-owned private arena, which is how a
-/// memory-budgeted request gets per-request interner accounting that does
-/// not depend on how warm the shared arena happens to be. On scope exit the
-/// region's arena is epoch-compacted (TermInterner::Compact): canonical
-/// entries nothing else holds -- the region's garbage -- are dropped.
-class ScopedInterning {
- public:
-  explicit ScopedInterning(bool enabled)
-      : ScopedInterning(enabled ? &GlobalTermInterner() : nullptr) {}
-  explicit ScopedInterning(TermInterner* arena)
-      : previous_(ExchangeActiveTermInterner(arena)), arena_(arena) {}
-  ~ScopedInterning() {
-    ExchangeActiveTermInterner(previous_);
-    // Leaving an interning region (not merely re-entering the same arena
-    // from a nested scope) is the compaction point.
-    if (arena_ != nullptr && arena_ != previous_) arena_->Compact();
-  }
-  ScopedInterning(const ScopedInterning&) = delete;
-  ScopedInterning& operator=(const ScopedInterning&) = delete;
-
- private:
-  TermInterner* previous_;
-  TermInterner* arena_;
 };
 
 }  // namespace kola

@@ -3,7 +3,6 @@
 #include <functional>
 
 #include "common/macros.h"
-#include "term/intern.h"
 
 namespace kola {
 
@@ -186,18 +185,8 @@ StatusOr<TermPtr> Term::Make(TermKind kind, std::vector<TermPtr> children,
     }
   }
 
-  TermPtr term = NewNode(kind, sort, std::move(name), std::move(literal),
-                         bool_const, std::move(children));
-  if (TermInterner* interner = ActiveTermInterner()) {
-    // Construction-time canonicalization only pays for itself above the
-    // small-term floor (see InternMinNodes); tiny spines skip the shard
-    // lock and stay un-interned unless an explicit Intern call sweeps them
-    // up as part of a larger tree.
-    if (term->node_count() >= InternMinNodes()) {
-      return interner->Intern(std::move(term));
-    }
-  }
-  return term;
+  return NewNode(kind, sort, std::move(name), std::move(literal), bool_const,
+                 std::move(children));
 }
 
 Term::~Term() {

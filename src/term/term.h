@@ -124,8 +124,8 @@ class Term {
   /// rendered form (Value::ToString is deterministic). Unlike hash() it
   /// never routes through std::hash, so the value is identical across
   /// platforms and standard libraries and safe to persist (it seeds
-  /// RuleSetFingerprint, the key of the fixpoint-cache and rule-index
-  /// pools). Computed on first call and cached on the node (terms are
+  /// RuleSetFingerprint, the key of the rule-index pools and the plan
+  /// cache). Computed on first call and cached on the node (terms are
   /// immutable); the walk is iterative, so deep spines are safe.
   uint64_t stable_hash() const;
 
@@ -177,8 +177,8 @@ class Term {
   Term() = default;
 
   /// Builds a node without sort validation (callers guarantee
-  /// well-sortedness) and without interning. Used by Make after validation
-  /// and by TermInterner when rebuilding a spine over canonical children.
+  /// well-sortedness). Used by Make after validation and by TermInterner
+  /// when rebuilding a spine over canonical children.
   static TermPtr NewNode(TermKind kind, Sort sort, std::string name,
                          Value literal, bool bool_const,
                          std::vector<TermPtr> children);

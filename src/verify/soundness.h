@@ -15,29 +15,28 @@ namespace kola {
 
 /// One cell of the optimizer configuration matrix the harness sweeps: the
 /// engine tunables that must never change query RESULTS, only performance.
-/// Differential testing across all thirty-two combinations is what catches
-/// a memo/interning/fastpath/index/egraph interaction that per-rule
-/// verification cannot.
+/// Differential testing across all eight combinations is what catches a
+/// fastpath/index/egraph interaction that per-rule verification cannot.
 struct PipelineConfig {
-  bool interning = false;         // hash-consed Term::Make (term/intern.h)
-  bool fixpoint_memo = true;      // FixpointCache negative-match memo
   bool physical_fastpaths = true; // hash join / grouping in the evaluator
   bool rule_index = true;         // compiled rule matching (rule_index.h)
   bool egraph = false;            // equality-saturation phase (egraph/)
 
   /// Compact stable name: "+"-joined feature list
-  /// ("intern+memo+fast+index+egraph"), "plain" when everything is off.
+  /// ("fast+index+egraph"), "plain" when everything is off.
   /// Round-trips through ParsePipelineConfig; used by
   /// `kolaverify --config`.
   std::string Name() const;
 };
 
 /// Parses a PipelineConfig::Name() back into a config. INVALID_ARGUMENT on
-/// unknown or duplicated feature names ("plain" is only valid alone).
+/// unknown or duplicated feature names ("plain" is only valid alone), and
+/// on the names of removed features ("intern", "memo"), so a replay line
+/// recorded before their removal fails loudly instead of checking a
+/// different cell.
 StatusOr<PipelineConfig> ParsePipelineConfig(const std::string& name);
 
-/// All thirty-two interning x memo x fastpath x rule-index x egraph
-/// combinations.
+/// All eight fastpath x rule-index x egraph combinations.
 std::vector<PipelineConfig> FullConfigMatrix();
 
 /// A rule that is deliberately unsound -- iterate(?p, ?f) => iterate(?p, id)
@@ -70,12 +69,13 @@ struct SoundnessOptions {
 
   /// Per-stage memory budget in bytes (0 = unlimited). The optimization
   /// pass of every config cell runs under a Governor carrying this byte
-  /// budget (interner arena + fixpoint cache + exploration frontier +
-  /// evaluator scratch all charge it); each plan evaluation gets its own
-  /// fresh budget of the same size. Exhaustion degrades the pass / skips
-  /// the evaluation, never errors. Interning cells use a private per-cell
-  /// arena, so charges -- and therefore the report -- are a pure function
-  /// of the cell and stay bit-identical at every --jobs level.
+  /// budget (interner arenas + exploration frontier + evaluator scratch +
+  /// rule indexes + e-graph all charge it); each plan evaluation gets its
+  /// own fresh budget of the same size. Exhaustion degrades the pass /
+  /// skips the evaluation, never errors. Every arena the pass interns into
+  /// is private to the call, so charges -- and therefore the report -- are
+  /// a pure function of the cell and stay bit-identical at every --jobs
+  /// level.
   int64_t memory_budget_bytes = 0;
 
   /// Escalation retries for memory-degraded passes (0 = none). When both

@@ -167,8 +167,8 @@ TEST_F(ChaosOptimizerTest, InternFaultsAreAbsorbedNotDegraded) {
   FaultInjector injector(3);
   injector.set_rate(FaultSite::kIntern, 1.0);
   ScopedFaultInjection scoped(&injector);
-  ScopedInterning interning(true);
-  TermPtr query = GlobalTermInterner().Intern(GarageQueryKG1());
+  TermInterner interner;
+  TermPtr query = interner.Intern(GarageQueryKG1());
   Optimizer optimizer(&properties_, db_.get());
   auto result = optimizer.Optimize(query);
   ASSERT_TRUE(result.ok()) << result.status();

@@ -1,10 +1,9 @@
-// Hash-consing invariants (term/intern.h) and the Fixpoint negative-match
-// memo (rewrite/engine.h):
+// Hash-consing invariants of the explicit TermInterner arenas
+// (term/intern.h):
 //  * intern(a) == intern(b) exactly when Term::Equal(a, b),
 //  * metavariable patterns and ground terms never collapse onto each other,
-//  * WithChildren on interned terms stays canonical,
-//  * derivation traces are byte-identical with interning/memoization on and
-//    off (the Figure 4, Figure 6 and garage-query derivations).
+//  * Term::Make is plain: only an explicit Intern canonicalizes,
+//  * concurrent interning, Equal and untangling stay exact.
 
 #include <gtest/gtest.h>
 
@@ -12,15 +11,12 @@
 #include <set>
 #include <vector>
 
-#include "common/macros.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "optimizer/code_motion.h"
 #include "optimizer/hidden_join.h"
 #include "rewrite/engine.h"
 #include "rewrite/generate.h"
 #include "rewrite/types.h"
-#include "rules/catalog.h"
 #include "term/intern.h"
 #include "term/parser.h"
 
@@ -34,13 +30,12 @@ TermPtr Q(const char* text, Sort sort = Sort::kObject) {
 }
 
 TEST(TermInternerTest, EqualTermsShareOneCanonicalPointer) {
-  // Pin construction-time interning off so this exercises the local arena
-  // (ids and tags) even when the suite runs under KOLA_INTERN=1.
-  ScopedInterning off(false);
   TermInterner interner;
   TermPtr a = Q("iterate(Kp(T), age) ! P");
   TermPtr b = Q("iterate(Kp(T), age) ! P");
+  // Term::Make is plain: only an explicit Intern canonicalizes.
   ASSERT_NE(a.get(), b.get());
+  EXPECT_FALSE(a->interned());
   TermPtr ca = interner.Intern(a);
   TermPtr cb = interner.Intern(b);
   EXPECT_EQ(ca.get(), cb.get());
@@ -51,7 +46,6 @@ TEST(TermInternerTest, EqualTermsShareOneCanonicalPointer) {
 }
 
 TEST(TermInternerTest, DistinctTermsKeepDistinctIds) {
-  ScopedInterning off(false);
   TermInterner interner;
   TermPtr a = interner.Intern(Compose(Id(), Pi1()));
   TermPtr b = interner.Intern(Compose(Id(), Pi2()));
@@ -105,52 +99,16 @@ TEST(TermInternerTest, MetavarsAndGroundTermsNeverCollide) {
   EXPECT_NE(pattern.get(), ground.get());
 }
 
-TEST(TermInternerTest, WithChildrenStaysCanonicalUnderScopedInterning) {
-  ScopedInterning on(true);
-  // Both queries sit above the small-term floor (InternMinNodes), so
-  // construction-time canonicalization applies to them and their rebuilds.
-  TermPtr a = Q("iterate(lt @ (age, Kf(30)), age)", Sort::kFunction);
+TEST(TermInternerTest, WithChildrenRebuildInternsOntoTheOriginal) {
+  TermInterner interner;
+  TermPtr a = interner.Intern(
+      Q("iterate(lt @ (age, Kf(30)), age)", Sort::kFunction));
   TermPtr b = Q("iterate(lt @ (age, Kf(30)), city)", Sort::kFunction);
-  ASSERT_GE(a->node_count(), InternMinNodes());
-  // Rebuilding b over a's children must land on a's canonical node.
+  // Rebuilding b over a's canonical children is a fresh node until it is
+  // interned, and then it lands on a's canonical node.
   TermPtr rebuilt = b->WithChildren({a->child(0), a->child(1)});
-  EXPECT_EQ(rebuilt.get(), a.get());
-  EXPECT_TRUE(rebuilt->interned());
-}
-
-TEST(TermInternerTest, ScopedInterningMakesBuildersCanonical) {
-  ScopedInterning on(true);
-  TermPtr a = Iterate(Oplus(LtP(), PairFn(PrimFn("age"), ConstFn(LitInt(30)))),
-                      PrimFn("age"));
-  TermPtr b = Iterate(Oplus(LtP(), PairFn(PrimFn("age"), ConstFn(LitInt(30)))),
-                      PrimFn("age"));
-  ASSERT_GE(a->node_count(), InternMinNodes());
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_TRUE(Term::Equal(a, b));
-  {
-    ScopedInterning off(false);
-    TermPtr c = Iterate(
-        Oplus(LtP(), PairFn(PrimFn("age"), ConstFn(LitInt(30)))),
-        PrimFn("age"));
-    EXPECT_NE(c.get(), a.get());
-    EXPECT_TRUE(Term::Equal(c, a));
-  }
-}
-
-TEST(TermInternerTest, SmallTermsSkipConstructionTimeInterning) {
-  ScopedInterning on(true);
-  // Below the floor: Make leaves the spine un-interned (two builds do not
-  // collapse), but an explicit Intern still canonicalizes it.
-  TermPtr a = Compose(PrimFn("age"), Pi1());
-  TermPtr b = Compose(PrimFn("age"), Pi1());
-  ASSERT_LT(a->node_count(), InternMinNodes());
-  EXPECT_FALSE(a->interned());
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_TRUE(Term::Equal(a, b));
-  TermPtr ca = GlobalTermInterner().Intern(a);
-  TermPtr cb = GlobalTermInterner().Intern(b);
-  EXPECT_EQ(ca.get(), cb.get());
-  EXPECT_TRUE(ca->interned());
+  EXPECT_NE(rebuilt.get(), a.get());
+  EXPECT_EQ(interner.Intern(rebuilt).get(), a.get());
 }
 
 TEST(TermInternerTest, LiteralValuesDistinguishCanonicals) {
@@ -163,7 +121,6 @@ TEST(TermInternerTest, LiteralValuesDistinguishCanonicals) {
 }
 
 TEST(TermInternerTest, ClearStartsAFreshEpochWithoutFalseNegatives) {
-  ScopedInterning off(false);
   TermInterner interner;
   TermPtr old_canon = interner.Intern(Compose(Id(), Pi1()));
   interner.Clear();
@@ -187,145 +144,7 @@ TEST(TermInternerTest, HitAndMissCountersTrackDedup) {
   EXPECT_EQ(interner.misses(), misses_after_first);
 }
 
-// ---------------------------------------------------------------------------
-// Fixpoint memoization: identical results and traces, fewer probes.
-// ---------------------------------------------------------------------------
-
-std::vector<Rule> Fig4Rules() {
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> rules;
-  for (const char* id :
-       {"11", "6", "5", "1", "13", "7", "ext.and-true-right"}) {
-    rules.push_back(FindRule(all, id));
-  }
-  return rules;
-}
-
-TEST(FixpointMemoTest, TraceIdenticalWithAndWithoutMemo) {
-  TermPtr query =
-      Q("iterate(Kp(T), age) o iterate(gt @ (age, Kf(25)), id) ! P");
-  Rewriter memoized(nullptr, RewriterOptions{.memoize_fixpoint = true});
-  Rewriter plain(nullptr, RewriterOptions{.memoize_fixpoint = false});
-
-  Trace trace_memo, trace_plain;
-  auto with_memo = memoized.Fixpoint(Fig4Rules(), query, &trace_memo);
-  auto without = plain.Fixpoint(Fig4Rules(), query, &trace_plain);
-  ASSERT_TRUE(with_memo.ok() && without.ok());
-  EXPECT_TRUE(Term::Equal(with_memo.value(), without.value()));
-  EXPECT_EQ(trace_memo.ToString(), trace_plain.ToString());
-  ASSERT_FALSE(trace_memo.steps.empty());
-}
-
-TEST(FixpointMemoTest, ExplicitCacheReusedAcrossCallsStillCorrect) {
-  Rewriter rewriter;
-  FixpointCache cache;
-  std::vector<Rule> rules = Fig4Rules();
-  TermPtr q1 = Q("iterate(Kp(T), city) o iterate(Kp(T), addr) ! P");
-  TermPtr q2 =
-      Q("iterate(Kp(T), age) o iterate(gt @ (age, Kf(25)), id) ! P");
-
-  auto r1 = rewriter.Fixpoint(rules, q1, nullptr, 10'000, &cache);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(cache.fingerprint(), RuleSetFingerprint(rules));
-  EXPECT_GT(cache.size(), 0u);
-
-  // Second run through the same cache: same answer as a fresh rewriter.
-  auto r2 = rewriter.Fixpoint(rules, q2, nullptr, 10'000, &cache);
-  auto r2_fresh = Rewriter().Fixpoint(rules, q2, nullptr);
-  ASSERT_TRUE(r2.ok() && r2_fresh.ok());
-  EXPECT_TRUE(Term::Equal(r2.value(), r2_fresh.value()));
-
-  // Rerunning an already-normalized term is pure cache hits.
-  uint64_t hits_before = cache.hits();
-  auto r3 = rewriter.Fixpoint(rules, r1.value(), nullptr, 10'000, &cache);
-  ASSERT_TRUE(r3.ok());
-  EXPECT_TRUE(Term::Equal(r3.value(), r1.value()));
-  EXPECT_GT(cache.hits(), hits_before);
-}
-
-TEST(FixpointMemoTest, CacheResetsWhenRuleSetChanges) {
-  Rewriter rewriter;
-  FixpointCache cache;
-  std::vector<Rule> rules_a = Fig4Rules();
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> rules_b = {FindRule(all, "1"), FindRule(all, "2")};
-  ASSERT_NE(RuleSetFingerprint(rules_a), RuleSetFingerprint(rules_b));
-
-  TermPtr q = Q("id o (id o age) ! P");
-  ASSERT_TRUE(rewriter.Fixpoint(rules_a, q, nullptr, 10'000, &cache).ok());
-  auto through_cache =
-      rewriter.Fixpoint(rules_b, q, nullptr, 10'000, &cache);
-  auto fresh = Rewriter().Fixpoint(rules_b, q, nullptr);
-  ASSERT_TRUE(through_cache.ok() && fresh.ok());
-  EXPECT_TRUE(Term::Equal(through_cache.value(), fresh.value()));
-  EXPECT_EQ(cache.fingerprint(), RuleSetFingerprint(rules_b));
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end determinism: the paper's derivations are byte-identical with
-// interning on and off.
-// ---------------------------------------------------------------------------
-
-struct DerivationSnapshot {
-  std::string fig4_t1;
-  std::string fig4_t2;
-  std::string fig6;
-  std::string garage;
-};
-
-DerivationSnapshot SnapshotDerivations() {
-  DerivationSnapshot snap;
-  Rewriter rewriter;
-  {
-    Trace trace;
-    auto fused = rewriter.Fixpoint(
-        Fig4Rules(), Q("iterate(Kp(T), city) o iterate(Kp(T), addr) ! P"),
-        &trace);
-    KOLA_CHECK_OK(fused.status());
-    snap.fig4_t1 = trace.ToString();
-  }
-  {
-    Trace trace;
-    auto fused = rewriter.Fixpoint(
-        Fig4Rules(),
-        Q("iterate(Kp(T), age) o iterate(gt @ (age, Kf(25)), id) ! P"),
-        &trace);
-    KOLA_CHECK_OK(fused.status());
-    snap.fig4_t2 = trace.ToString();
-  }
-  {
-    auto result = ApplyCodeMotion(QueryK4(), rewriter);
-    KOLA_CHECK_OK(result.status());
-    snap.fig6 = result->trace.ToString();
-  }
-  {
-    auto result = UntangleHiddenJoin(GarageQueryKG1(), rewriter);
-    KOLA_CHECK_OK(result.status());
-    snap.garage = result->trace.ToString();
-  }
-  return snap;
-}
-
-TEST(InterningDeterminismTest, DerivationsByteIdenticalInterningOnAndOff) {
-  DerivationSnapshot off;
-  {
-    ScopedInterning scope(false);
-    off = SnapshotDerivations();
-  }
-  DerivationSnapshot on;
-  {
-    ScopedInterning scope(true);
-    on = SnapshotDerivations();
-  }
-  EXPECT_EQ(off.fig4_t1, on.fig4_t1);
-  EXPECT_EQ(off.fig4_t2, on.fig4_t2);
-  EXPECT_EQ(off.fig6, on.fig6);
-  EXPECT_EQ(off.garage, on.garage);
-  EXPECT_FALSE(off.garage.empty());
-}
-
 TEST(ThreadSafetyTest, ConcurrentInterningOfEqualTermsAgreesOnOnePointer) {
-  ScopedInterning off(false);
   TermInterner interner;
   // Every worker interns its own freshly parsed copy of the same queries;
   // all copies of one query must collapse to a single canonical pointer
@@ -363,39 +182,7 @@ TEST(ThreadSafetyTest, ConcurrentInterningOfEqualTermsAgreesOnOnePointer) {
   EXPECT_EQ(ids.size(), std::size(queries));
 }
 
-TEST(ThreadSafetyTest, ScopedInterningIsThreadLocal) {
-  ScopedInterning off(false);
-  ASSERT_FALSE(GlobalInterningEnabled());
-  std::atomic<int> on_threads{0};
-  std::atomic<int> checks{0};
-  ParallelFor(4, 4, [&](size_t i) {
-    // Workers on even indices enable construction-time interning; workers
-    // on odd indices pin it off. Each scope must only govern its own
-    // thread's Term::Make calls -- the slot is per-thread, not
-    // process-global, so the concurrent ScopedInterning(true) scopes can
-    // never leak into the off workers.
-    if (i % 2 == 0) {
-      ScopedInterning on(true);
-      if (GlobalInterningEnabled()) on_threads.fetch_add(1);
-      // Above the small-term floor, so Make itself canonicalizes.
-      TermPtr made = Q("iterate(lt @ (age, Kf(30)), age) ! P");
-      if (made->interned()) checks.fetch_add(1);
-    } else {
-      ScopedInterning pinned_off(false);
-      TermPtr made = Q("join(eq @ (age x age), (pi1, pi2)) ! [P, P]");
-      if (!made->interned() && !GlobalInterningEnabled()) {
-        checks.fetch_add(1);
-      }
-    }
-  });
-  EXPECT_EQ(on_threads.load(), 2);
-  EXPECT_EQ(checks.load(), 4);
-  // The entering thread's own slot is untouched by the workers.
-  EXPECT_FALSE(GlobalInterningEnabled());
-}
-
 TEST(ThreadSafetyTest, ConcurrentEqualUsesTheEpochFastPathSafely) {
-  ScopedInterning off(false);
   TermInterner interner;
   TermPtr a = interner.Intern(Q("iterate(Kp(T), age) ! P"));
   TermPtr b = interner.Intern(Q("iterate(Kp(T), name) ! P"));
@@ -420,49 +207,21 @@ TEST(ThreadSafetyTest, ConcurrentEqualUsesTheEpochFastPathSafely) {
 }
 
 TEST(ThreadSafetyTest, ParallelUntanglingProducesIdenticalDerivations) {
-  // The full hidden-join pipeline, concurrently, half the workers with
-  // construction-time interning on: every derivation must match the serial
-  // reference byte for byte.
-  Rewriter rewriter(nullptr, RewriterOptions{.memoize_fixpoint = true});
+  // The full hidden-join pipeline, concurrently: every derivation must
+  // match the serial reference byte for byte.
+  Rewriter rewriter;
   auto reference = UntangleHiddenJoin(GarageQueryKG1(), rewriter);
   ASSERT_TRUE(reference.ok());
   std::string expected = reference->trace.ToString();
   std::atomic<int> matches{0};
-  ParallelFor(6, 6, [&](size_t i) {
-    ScopedInterning scope(i % 2 == 0);
-    Rewriter local(nullptr, RewriterOptions{.memoize_fixpoint = true});
+  ParallelFor(6, 6, [&](size_t) {
+    Rewriter local;
     auto result = UntangleHiddenJoin(GarageQueryKG1(), local);
     if (result.ok() && result->trace.ToString() == expected) {
       matches.fetch_add(1);
     }
   });
   EXPECT_EQ(matches.load(), 6);
-}
-
-TEST(FixpointMemoTest, PooledCachesPreserveResultsAcrossCalls) {
-  // reuse_fixpoint_caches keeps one cache per rule-set fingerprint inside
-  // the Rewriter; results and traces must match the fresh-cache engine on
-  // every call, including repeats that hit the warm cache.
-  Rewriter pooled(nullptr, RewriterOptions{.memoize_fixpoint = true,
-                                           .reuse_fixpoint_caches = true});
-  Rewriter fresh(nullptr, RewriterOptions{.memoize_fixpoint = true});
-  for (int round = 0; round < 3; ++round) {
-    auto a = UntangleHiddenJoin(GarageQueryKG1(), pooled);
-    auto b = UntangleHiddenJoin(GarageQueryKG1(), fresh);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a->trace.ToString(), b->trace.ToString());
-    EXPECT_TRUE(Term::Equal(a->query, b->query));
-  }
-}
-
-TEST(InterningDeterminismTest, GarageDerivationUnchangedByMemoization) {
-  Rewriter memoized(nullptr, RewriterOptions{.memoize_fixpoint = true});
-  Rewriter plain(nullptr, RewriterOptions{.memoize_fixpoint = false});
-  auto with_memo = UntangleHiddenJoin(GarageQueryKG1(), memoized);
-  auto without = UntangleHiddenJoin(GarageQueryKG1(), plain);
-  ASSERT_TRUE(with_memo.ok() && without.ok());
-  EXPECT_EQ(with_memo->trace.ToString(), without->trace.ToString());
-  EXPECT_TRUE(Term::Equal(with_memo->query, without->query));
 }
 
 }  // namespace
