@@ -96,7 +96,7 @@ int main() {
   RewriterOptions engine_options = RewriterOptions::Defaults();
   engine_options.governor = &session_governor;
   Optimizer optimizer(&properties, db.get(), engine_options);
-  std::vector<Rule> catalog = AllCatalogRules();
+  const std::vector<Rule>& catalog = AllCatalogRules();
 
   Mode mode = Mode::kOql;
   bool trace = false;

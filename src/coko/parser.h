@@ -36,7 +36,8 @@ struct CokoModule {
 ///   ruleref := RULE-ID modifier*   with modifier '~' (right-to-left
 ///              reading) or '!' (apply-level variant)
 ///
-/// Rule ids are resolved against `catalog` (e.g. AllCatalogRules()).
+/// Rule ids are resolved against `catalog` -- normally AllCatalogRules(),
+/// the process-wide parsed catalog, passed by reference (no copy).
 /// Comments run from '#' to end of line. Example:
 ///
 ///   # the five-step hidden-join strategy

@@ -1,7 +1,6 @@
 #include "coko/strategy.h"
 
 #include "common/macros.h"
-#include "rules/catalog.h"
 
 namespace kola {
 
@@ -80,21 +79,21 @@ class SeqStrategy : public Strategy {
 
 class ExhaustStrategy : public Strategy {
  public:
-  ExhaustStrategy(std::vector<Rule> rules, int max_steps)
+  ExhaustStrategy(std::shared_ptr<const RuleSet> rules, int max_steps)
       : rules_(std::move(rules)), max_steps_(max_steps) {}
 
   StatusOr<StrategyResult> Run(const TermPtr& term, const Rewriter& rewriter,
                                Trace* trace) const override {
     size_t steps_before = trace == nullptr ? 0 : trace->steps.size();
     KOLA_ASSIGN_OR_RETURN(
-        TermPtr result, rewriter.Fixpoint(rules_, term, trace, max_steps_));
+        TermPtr result, rewriter.Fixpoint(*rules_, term, trace, max_steps_));
     bool changed = trace == nullptr ? !Term::Equal(result, term)
                                     : trace->steps.size() > steps_before;
     return StrategyResult{std::move(result), changed};
   }
 
  private:
-  std::vector<Rule> rules_;
+  std::shared_ptr<const RuleSet> rules_;
   int max_steps_;
 };
 
@@ -128,8 +127,7 @@ class RepeatStrategy : public Strategy {
 class EverywhereStrategy : public Strategy {
  public:
   explicit EverywhereStrategy(std::vector<Rule> rules)
-      : rules_(std::move(rules)),
-        fingerprint_(RuleSetFingerprint(rules_)) {}
+      : rules_(std::move(rules)) {}
 
   StatusOr<StrategyResult> Run(const TermPtr& term, const Rewriter& rewriter,
                                Trace* trace) const override {
@@ -137,7 +135,7 @@ class EverywhereStrategy : public Strategy {
     // One index acquisition per sweep (the fingerprint is precomputed at
     // construction), consulted at every node below. nullptr degrades every
     // ApplyAnyAtRoot to the plain linear probe.
-    auto index = rewriter.IndexFor(rules_, fingerprint_);
+    auto index = rewriter.IndexFor(rules_.rules(), rules_.fingerprint());
     TermPtr result = Sweep(term, rewriter, index.get(), trace, &changed);
     return StrategyResult{std::move(result), changed};
   }
@@ -160,12 +158,12 @@ class EverywhereStrategy : public Strategy {
     }
     // Then this position, once.
     size_t fired = 0;
-    if (auto rewritten =
-            rewriter.ApplyAnyAtRoot(rules_, current, index, &fired)) {
+    if (auto rewritten = rewriter.ApplyAnyAtRoot(rules_.rules(), current,
+                                                 index, &fired)) {
       if (trace != nullptr) {
         if (trace->initial == nullptr) trace->initial = term;
         trace->steps.push_back(
-            RewriteStep{rules_[fired].id, {}, current, *rewritten,
+            RewriteStep{rules_.rules()[fired].id, {}, current, *rewritten,
                         *rewritten});
       }
       *changed = true;
@@ -174,18 +172,8 @@ class EverywhereStrategy : public Strategy {
     return current;
   }
 
-  std::vector<Rule> rules_;
-  uint64_t fingerprint_;
+  RuleSet rules_;
 };
-
-/// Collects the catalog rules with the given ids.
-std::vector<Rule> CatalogRules(const std::vector<std::string>& ids) {
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> selected;
-  selected.reserve(ids.size());
-  for (const std::string& id : ids) selected.push_back(FindRule(all, id));
-  return selected;
-}
 
 }  // namespace
 
@@ -202,7 +190,8 @@ StrategyPtr Seq(std::vector<StrategyPtr> strategies) {
 }
 
 StrategyPtr Exhaust(std::vector<Rule> rules, int max_steps) {
-  return std::make_shared<ExhaustStrategy>(std::move(rules), max_steps);
+  return std::make_shared<ExhaustStrategy>(
+      std::make_shared<const RuleSet>(std::move(rules)), max_steps);
 }
 
 StrategyPtr Repeat(StrategyPtr body, int max_rounds) {
@@ -213,29 +202,9 @@ StrategyPtr Everywhere(std::vector<Rule> rules) {
   return std::make_shared<EverywhereStrategy>(std::move(rules));
 }
 
-RuleBlock CnfBlock() {
-  return RuleBlock(
-      "convert predicates to CNF",
-      Exhaust(CatalogRules({"ext.not-not", "ext.demorgan-and",
-                            "ext.demorgan-or", "ext.cnf-dist-left",
-                            "ext.cnf-dist-right"})));
-}
-
-RuleBlock PushSelectsPastJoinsBlock() {
-  return RuleBlock("push selects past joins",
-                   Exhaust(CatalogRules({"ext.select-past-join-left",
-                                         "ext.select-past-join-right"})));
-}
-
-RuleBlock SimplifyBlock() {
-  return RuleBlock(
-      "simplify",
-      Exhaust(CatalogRules(
-          {"1", "2", "3", "4", "5", "6", "8", "9", "10", "18",
-           "ext.and-true-right", "ext.and-false", "ext.or-true",
-           "ext.or-false", "ext.product-id", "ext.con-true", "ext.con-false",
-           "ext.con-same", "ext.not-not", "ext.inv-inv", "ext.iterate-false",
-           "norm.id-apply"})));
-}
+RuleBlock::RuleBlock(std::string name, std::vector<Rule> rules)
+    : name_(std::move(name)),
+      rules_(std::make_shared<const RuleSet>(std::move(rules))),
+      strategy_(std::make_shared<ExhaustStrategy>(rules_, kExhaustMaxSteps)) {}
 
 }  // namespace kola

@@ -47,9 +47,13 @@ StrategyPtr FirstOf(std::vector<Rule> rules);
 /// Runs sub-strategies in order; changed if any changed.
 StrategyPtr Seq(std::vector<StrategyPtr> strategies);
 
+/// Firing cap of an Exhaust strategy unless its caller sets one.
+inline constexpr int kExhaustMaxSteps = 10'000;
+
 /// Applies the rule set to fixpoint (leftmost-outermost, first matching
 /// rule). Errors with RESOURCE_EXHAUSTED beyond `max_steps` firings.
-StrategyPtr Exhaust(std::vector<Rule> rules, int max_steps = 10'000);
+StrategyPtr Exhaust(std::vector<Rule> rules,
+                    int max_steps = kExhaustMaxSteps);
 
 /// Repeats `body` while it reports change, at most `max_rounds` times.
 StrategyPtr Repeat(StrategyPtr body, int max_rounds = 1'000);
@@ -68,8 +72,16 @@ class RuleBlock {
   RuleBlock(std::string name, StrategyPtr strategy)
       : name_(std::move(name)), strategy_(std::move(strategy)) {}
 
+  /// An exhaustive block: Exhaust over `rules` (kExhaustMaxSteps), which
+  /// stay inspectable through rules().
+  RuleBlock(std::string name, std::vector<Rule> rules);
+
   const std::string& name() const { return name_; }
   const StrategyPtr& strategy() const { return strategy_; }
+
+  /// The rule set of an exhaustive block; nullptr for a block built from
+  /// an arbitrary strategy.
+  const RuleSet* rules() const { return rules_.get(); }
 
   StatusOr<StrategyResult> Apply(const TermPtr& term,
                                  const Rewriter& rewriter,
@@ -92,16 +104,9 @@ class RuleBlock {
 
  private:
   std::string name_;
+  std::shared_ptr<const RuleSet> rules_;
   StrategyPtr strategy_;
 };
-
-/// Prebuilt blocks over the standard catalog.
-/// Rewrites predicates to conjunctive normal form.
-RuleBlock CnfBlock();
-/// Pushes component-local selections below joins.
-RuleBlock PushSelectsPastJoinsBlock();
-/// General cleanup: identity/constant/projection/conditional laws.
-RuleBlock SimplifyBlock();
 
 }  // namespace kola
 

@@ -203,15 +203,15 @@ void EGraph::Rebuild() {
   dirty_ = false;
 }
 
-Status EGraph::Saturate(const Rewriter& rewriter,
-                        const std::vector<Rule>& rules, uint64_t fingerprint) {
+Status EGraph::Saturate(const Rewriter& rewriter, const RuleSet& rule_set) {
+  const std::vector<Rule>& rules = rule_set.rules();
   if (dirty_) Rebuild();
   // nullptr when indexing is off (options / KOLA_NO_RULE_INDEX) or the
   // budget refused the compiled tree; the linear probe below fires the
   // same rules in the same ascending order, so the e-graph evolves
   // identically either way (the index is an exact filter).
-  std::shared_ptr<const RuleIndex> index = rewriter.IndexFor(rules,
-                                                             fingerprint);
+  std::shared_ptr<const RuleIndex> index =
+      rewriter.IndexFor(rules, rule_set.fingerprint());
   std::vector<uint32_t> candidates;
   size_t next = 0;
   bool capped = false;
@@ -370,39 +370,6 @@ EGraphStats EGraph::stats() const {
   return snapshot;
 }
 
-const std::vector<Rule>& SaturationRuleSet() {
-  // Leaked, like the rule catalogs: rules hold terms that may outlive
-  // static teardown order.
-  static const std::vector<Rule>* pool = [] {
-    auto* rules = new std::vector<Rule>();
-    std::unordered_set<std::string> seen;
-    auto add = [&](const Rule& rule) {
-      std::string key = rule.lhs->ToString() + " => " + rule.rhs->ToString();
-      for (const PropertyAtom& condition : rule.conditions) {
-        key += " if " + condition.property + "(" +
-               condition.pattern->ToString() + ")";
-      }
-      if (seen.insert(std::move(key)).second) rules->push_back(rule);
-    };
-    for (const Rule& rule : AllCatalogRules()) {
-      add(rule);
-      StatusOr<Rule> reversed = ReverseRule(rule);
-      // Reversals that invent variables are rejected by ReverseRule;
-      // reversals whose lhs is a bare metavariable (f => f o id readings)
-      // fire at every node of matching sort and only inflate the graph,
-      // so they are dropped too.
-      if (reversed.ok() && !reversed->lhs->is_metavar()) add(*reversed);
-    }
-    return rules;
-  }();
-  return *pool;
-}
-
-uint64_t SaturationRuleFingerprint() {
-  static const uint64_t fingerprint = RuleSetFingerprint(SaturationRuleSet());
-  return fingerprint;
-}
-
 EGraphOutcome SaturateAndExtract(const TermPtr& query, const TermPtr& greedy,
                                  const Rewriter& rewriter,
                                  const PlanCostFn& cost,
@@ -417,8 +384,7 @@ EGraphOutcome SaturateAndExtract(const TermPtr& query, const TermPtr& greedy,
     egraph.Merge(root, egraph.AddTerm(greedy));
     egraph.Rebuild();
   }
-  outcome.status = egraph.Saturate(rewriter, SaturationRuleSet(),
-                                   SaturationRuleFingerprint());
+  outcome.status = egraph.Saturate(rewriter, RuleCatalog::Get().saturation);
   // Extraction runs even when saturation was cut short: degradation
   // returns the best plan of the partial graph, which always contains the
   // seeds.

@@ -100,10 +100,8 @@ class EGraph {
   /// A (rule, node) pair never needs a second visit: reps are immutable and
   /// conditions resolve against a fixed PropertyStore, so one drained
   /// worklist IS saturation. Stops early (returning RESOURCE_EXHAUSTED)
-  /// when the governor trips; stops silently at max_nodes. `fingerprint`
-  /// must be RuleSetFingerprint(rules).
-  Status Saturate(const Rewriter& rewriter, const std::vector<Rule>& rules,
-                  uint64_t fingerprint);
+  /// when the governor trips; stops silently at max_nodes.
+  Status Saturate(const Rewriter& rewriter, const RuleSet& rules);
 
   /// The smallest term of `id`'s class, by bottom-up e-class minimization:
   /// per class, the least (node_count, then rendering) of each member
@@ -180,15 +178,6 @@ class EGraph {
 /// optimizer-layer dependency. A non-OK status skips the candidate.
 using PlanCostFn = std::function<StatusOr<double>(const TermPtr&)>;
 
-/// The saturation rule pool: AllCatalogRules plus every reversed reading
-/// that is itself well-formed (rules are equations), minus reversals whose
-/// lhs is a bare metavariable (they fire at every node and only inflate
-/// the graph), deduplicated by syntax. Built once per process.
-const std::vector<Rule>& SaturationRuleSet();
-
-/// RuleSetFingerprint(SaturationRuleSet()), cached.
-uint64_t SaturationRuleFingerprint();
-
 struct EGraphOutcome {
   /// OK, or RESOURCE_EXHAUSTED when saturation was cut short -- `plan` is
   /// then the best extracted from the partial graph (never null).
@@ -199,10 +188,11 @@ struct EGraphOutcome {
 
 /// The whole backend in one call: seeds an e-graph with `query` and the
 /// greedy pipeline's `greedy` plan (merged into one class -- both derive
-/// from the query by equation rules), saturates SaturationRuleSet() under
-/// `options`, and extracts the cheapest plan by `cost` with deterministic
-/// tie-breaks (cost, then smallest rendering). `greedy` is always a
-/// ranked candidate, so the result never costs more than the greedy plan;
+/// from the query by equation rules), saturates the catalog's saturation
+/// pool (RuleCatalog::Get().saturation) under `options`, and extracts the
+/// cheapest plan by `cost` with deterministic tie-breaks (cost, then
+/// smallest rendering). `greedy` is always a ranked candidate, so the
+/// result never costs more than the greedy plan;
 /// if `cost(greedy)` itself fails, `greedy` is returned unchanged.
 EGraphOutcome SaturateAndExtract(const TermPtr& query, const TermPtr& greedy,
                                  const Rewriter& rewriter,

@@ -19,14 +19,14 @@ struct CodeMotionResult {
   Trace trace;
 };
 
-/// The blocks, in order:
+/// The blocks, in order (RuleCatalog::Get().code_motion):
 ///   decompose-predicate   rules 13, 7 and the inverse facts, 14
 ///   hoist-conditional     rule 15 (fires only when the predicate examines
 ///                         the environment component pi1 -- the structural
 ///                         stand-in for AQUA's free-variable analysis)
 ///   distribute            rule 16
-///   cleanup               rules 14 right-to-left, 9, 10, 3, 8, 1, 2
-std::vector<RuleBlock> CodeMotionBlocks();
+///   cleanup               rules 9, 10, 3, 8, 1, 2, 14 right-to-left
+const std::vector<RuleBlock>& CodeMotionBlocks();
 
 /// Runs the blocks on `query` (object- or function-sorted term).
 StatusOr<CodeMotionResult> ApplyCodeMotion(const TermPtr& query,

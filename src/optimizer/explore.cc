@@ -14,21 +14,7 @@ StatusOr<std::vector<Candidate>> ExploreJoinPlans(const TermPtr& query,
                                                   const Rewriter& rewriter,
                                                   const CostModel& model,
                                                   int max_candidates) {
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<Rule> exploration = {
-      FindRule(all, "ext.join-commute"),
-      FindRule(all, "ext.select-past-join-left"),
-      FindRule(all, "ext.select-past-join-right"),
-  };
-  std::vector<Rule> cleanup;
-  for (const char* id :
-       {"norm.assoc", "ext.swap-swap", "ext.swap-swap-chain",
-        "ext.inv-inv", "ext.inv-product",
-        "ext.inv-and", "7", "ext.inv-lt", "ext.inv-leq", "ext.inv-geq",
-        "ext.inv-eq", "ext.inv-neq", "1", "2", "3", "4", "5",
-        "ext.and-true-right", "ext.product-id"}) {
-    cleanup.push_back(FindRule(all, id));
-  }
+  const RuleSet& cleanup = RuleCatalog::Get().explore_cleanup;
 
   std::vector<Candidate> candidates;
   // Dedup on canonical term identity: every candidate plan is interned into
@@ -100,7 +86,7 @@ StatusOr<std::vector<Candidate>> ExploreJoinPlans(const TermPtr& query,
     TermPtr base = candidates[index].query;
     std::vector<std::string> base_derivation = candidates[index].derivation;
 
-    for (const Rule& rule : exploration) {
+    for (const Rule& rule : RuleCatalog::Get().explore_steps.rules()) {
       RewriteStep step;
       auto rewritten = rewriter.ApplyOnce(rule, base, &step);
       if (!rewritten) continue;

@@ -8,21 +8,6 @@ namespace kola {
 
 namespace {
 
-/// Apply-level variant of a catalog rule (see ApplyLevelVariant).
-Rule AV(const std::vector<Rule>& all, const std::string& id) {
-  auto variant = ApplyLevelVariant(FindRule(all, id));
-  KOLA_CHECK_OK(variant.status());
-  return std::move(variant).value();
-}
-
-std::vector<Rule> Pick(const std::vector<Rule>& all,
-                       const std::vector<std::string>& ids) {
-  std::vector<Rule> rules;
-  rules.reserve(ids.size());
-  for (const std::string& id : ids) rules.push_back(FindRule(all, id));
-  return rules;
-}
-
 TermPtr MustParse(const std::string& text, Sort sort) {
   auto term = ParseTerm(text, sort);
   KOLA_CHECK_OK(term.status());
@@ -31,81 +16,18 @@ TermPtr MustParse(const std::string& text, Sort sort) {
 
 }  // namespace
 
-std::vector<RuleBlock> HiddenJoinBlocks() {
-  std::vector<Rule> all = AllCatalogRules();
-  std::vector<RuleBlock> blocks;
-
-  // Step 0: right-associate and unfold into apply-nested form, so the
-  // apply-level rule variants can fire mid-chain.
-  {
-    std::vector<Rule> rules = Pick(all, {"norm.assoc", "norm.unfold",
-                                         "norm.id-apply"});
-    blocks.emplace_back("prep", Exhaust(std::move(rules)));
-  }
-  // Step 1: break up the monolithic iterate (rules 17/17b) and clean up the
-  // identity heads they leave behind (rules 2, 4, 18).
-  {
-    std::vector<Rule> rules = {AV(all, "17"), AV(all, "17b")};
-    for (Rule& r : Pick(all, {"2", "4", "18", "norm.id-apply"})) {
-      rules.push_back(std::move(r));
-    }
-    blocks.emplace_back("break-up", Exhaust(std::move(rules)));
-  }
-  // Step 2: bottom out with a nest of a join (rule 19); unfold the
-  // composition rule 19 introduces.
-  {
-    std::vector<Rule> rules = Pick(all, {"19", "norm.unfold"});
-    blocks.emplace_back("bottom-out", Exhaust(std::move(rules)));
-  }
-  // Step 3: pull nest to the top (rules 20, 21).
-  {
-    std::vector<Rule> rules = {AV(all, "20"), AV(all, "21")};
-    for (Rule& r : Pick(all, {"1", "2", "4"})) rules.push_back(std::move(r));
-    blocks.emplace_back("pull-up-nest", Exhaust(std::move(rules)));
-  }
-  // Step 4: pull unnests up just below nest (rules 22, 22b, 23).
-  {
-    std::vector<Rule> rules = {AV(all, "22"), AV(all, "22b"),
-                               AV(all, "23")};
-    for (Rule& r : Pick(all, {"1", "2", "4"})) rules.push_back(std::move(r));
-    blocks.emplace_back("pull-up-unnest", Exhaust(std::move(rules)));
-  }
-  // Step 5: absorb the remaining iterates into the join (rule 24) and
-  // simplify the predicates this builds up (rules 3, 5, 6).
-  {
-    std::vector<Rule> rules = {AV(all, "24")};
-    for (Rule& r :
-         Pick(all, {"3", "5", "6", "1", "2", "ext.and-true-right"})) {
-      rules.push_back(std::move(r));
-    }
-    blocks.emplace_back("absorb-join", Exhaust(std::move(rules)));
-  }
-  // Polish: rewrite componentwise pairs as products (the paper's KG2
-  // spelling) and refold the apply chain into a composition chain.
-  {
-    std::vector<Rule> rules =
-        Pick(all, {"ext.pair-to-product", "ext.pair-to-product-left",
-                   "ext.pair-to-product-right", "4", "1", "2", "norm.fold",
-                   "norm.assoc"});
-    blocks.emplace_back("polish", Exhaust(std::move(rules)));
-  }
-  return blocks;
+const std::vector<RuleBlock>& HiddenJoinBlocks() {
+  return RuleCatalog::Get().hidden_join;
 }
 
 StatusOr<HiddenJoinResult> UntangleHiddenJoin(const TermPtr& query,
                                               const Rewriter& rewriter) {
-  // The pipeline is fixed, and building it re-parses the whole catalog --
-  // construct it once and reuse (blocks are immutable after construction).
-  static const std::vector<RuleBlock>& blocks = *new std::vector<RuleBlock>(
-      HiddenJoinBlocks());
   HiddenJoinResult result;
   result.query = query;
   result.trace.initial = query;
-  for (const RuleBlock& block : blocks) {
-    KOLA_ASSIGN_OR_RETURN(
-        StrategyResult block_result,
-        block.Apply(result.query, rewriter, &result.trace)
-            );
+  for (const RuleBlock& block : RuleCatalog::Get().hidden_join) {
+    KOLA_ASSIGN_OR_RETURN(StrategyResult block_result,
+                          block.Apply(result.query, rewriter, &result.trace));
     result.query = block_result.term;
     if (block_result.changed) result.blocks_fired.push_back(block.name());
   }

@@ -21,15 +21,17 @@ struct HiddenJoinResult {
   std::vector<std::string> blocks_fired;
 };
 
-/// The five steps as named COKO rule blocks, in order:
+/// The five steps as named COKO rule blocks, in order
+/// (RuleCatalog::Get().hidden_join):
 ///   1. break-up        rules 17/17b (+ identity cleanup 2, 4, 18)
 ///   2. bottom-out      rule 19
 ///   3. pull-up-nest    rules 20, 21
 ///   4. pull-up-unnest  rules 22, 23
 ///   5. absorb-join     rule 24 (+ predicate cleanup 3, 5, 6)
-/// plus a final "polish" block (pair-to-product laws, refolding of the
-/// composition chain).
-std::vector<RuleBlock> HiddenJoinBlocks();
+/// preceded by a "prep" block (right-association and unfolding into
+/// apply-nested form) and followed by a "polish" block (pair-to-product
+/// laws, refolding of the composition chain).
+const std::vector<RuleBlock>& HiddenJoinBlocks();
 
 /// Runs the full strategy on `query` (an object-sorted term, typically
 /// `iterate(...) ! A`). Applicability is discovered by the rules

@@ -104,12 +104,14 @@ StatusOr<OptimizeResult> Optimizer::RunPipeline(
     stopped = true;
   };
 
+  const RuleCatalog& catalog = RuleCatalog::Get();
+
   // Phase 1: general simplification.
   phase("simplify", [&]() -> Status {
-    RuleBlock simplify = SimplifyBlock();
-    KOLA_ASSIGN_OR_RETURN(StrategyResult r,
-                          simplify.Apply(current, rewriter, &result.trace));
-    if (r.changed) result.applied_blocks.push_back(simplify.name());
+    KOLA_ASSIGN_OR_RETURN(
+        StrategyResult r,
+        catalog.simplify.Apply(current, rewriter, &result.trace));
+    if (r.changed) result.applied_blocks.push_back(catalog.simplify.name());
     current = r.term;
     return Status::OK();
   });
@@ -145,16 +147,10 @@ StatusOr<OptimizeResult> Optimizer::RunPipeline(
   // leaves queries in composition-chain form, which is what rule 11
   // matches.
   phase("loop-fusion", [&]() -> Status {
-    std::vector<Rule> all = AllCatalogRules();
-    std::vector<Rule> rules;
-    for (const char* id : {"norm.fold", "norm.assoc", "11", "6", "5", "1",
-                           "2", "ext.and-true-right"}) {
-      rules.push_back(FindRule(all, id));
-    }
-    RuleBlock fusion("loop-fusion", Exhaust(std::move(rules)));
-    KOLA_ASSIGN_OR_RETURN(StrategyResult r,
-                          fusion.Apply(current, rewriter, &result.trace));
-    if (r.changed) result.applied_blocks.push_back(fusion.name());
+    KOLA_ASSIGN_OR_RETURN(
+        StrategyResult r,
+        catalog.loop_fusion.Apply(current, rewriter, &result.trace));
+    if (r.changed) result.applied_blocks.push_back(catalog.loop_fusion.name());
     current = r.term;
     return Status::OK();
   });

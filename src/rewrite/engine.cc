@@ -300,6 +300,19 @@ std::optional<TermPtr> Rewriter::LinearApplyAnyOnce(
 StatusOr<TermPtr> Rewriter::Fixpoint(const std::vector<Rule>& rules,
                                      TermPtr term, Trace* trace,
                                      int max_steps) const {
+  return FixpointImpl(rules, RuleSetFingerprint(rules), std::move(term),
+                      trace, max_steps);
+}
+
+StatusOr<TermPtr> Rewriter::Fixpoint(const RuleSet& rules, TermPtr term,
+                                     Trace* trace, int max_steps) const {
+  return FixpointImpl(rules.rules(), rules.fingerprint(), std::move(term),
+                      trace, max_steps);
+}
+
+StatusOr<TermPtr> Rewriter::FixpointImpl(const std::vector<Rule>& rules,
+                                         uint64_t fingerprint, TermPtr term,
+                                         Trace* trace, int max_steps) const {
   // Entry boundary: an unconditional clock probe, so a fixpoint entered
   // after a slow rule application (the periodic in-Charge sampling can
   // trail the deadline by hundreds of ms) stops before sweeping at all.
@@ -308,8 +321,7 @@ StatusOr<TermPtr> Rewriter::Fixpoint(const std::vector<Rule>& rules,
   }
   // Hoisted out of the sweep loop: one pool probe per Fixpoint call, not
   // per firing.
-  const std::shared_ptr<const RuleIndex> index =
-      IndexFor(rules, RuleSetFingerprint(rules));
+  const std::shared_ptr<const RuleIndex> index = IndexFor(rules, fingerprint);
   if (trace != nullptr && trace->initial == nullptr) trace->initial = term;
   const bool faults_armed = ActiveFaultInjector() != nullptr;
   for (int i = 0; i < max_steps; ++i) {

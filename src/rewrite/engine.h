@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/governor.h"
@@ -48,6 +49,22 @@ struct Trace {
 /// from std::hash or Term::hash (both implementation-defined), so the value
 /// is identical across platforms and standard libraries.
 uint64_t RuleSetFingerprint(const std::vector<Rule>& rules);
+
+/// An immutable rule list paired with its RuleSetFingerprint, computed once
+/// at construction. The rule catalog hands out its fixed rule sets in this
+/// form, so per-call consumers never rehash them.
+class RuleSet {
+ public:
+  explicit RuleSet(std::vector<Rule> rules)
+      : rules_(std::move(rules)), fingerprint_(RuleSetFingerprint(rules_)) {}
+
+  const std::vector<Rule>& rules() const { return rules_; }
+  uint64_t fingerprint() const { return fingerprint_; }
+
+ private:
+  std::vector<Rule> rules_;
+  uint64_t fingerprint_;
+};
 
 /// Tunables for the rewrite engine.
 struct RewriterOptions {
@@ -155,11 +172,20 @@ class Rewriter {
   StatusOr<TermPtr> Fixpoint(const std::vector<Rule>& rules, TermPtr term,
                              Trace* trace, int max_steps = 10'000) const;
 
+  /// As above over a fixed rule set, reusing its precomputed fingerprint.
+  StatusOr<TermPtr> Fixpoint(const RuleSet& rules, TermPtr term,
+                             Trace* trace, int max_steps = 10'000) const;
+
   const PropertyStore* properties() const { return properties_; }
   const RewriterOptions& options() const { return options_; }
 
  private:
   bool ConditionsHold(const Rule& rule, const Bindings& bindings) const;
+
+  /// Fixpoint's body; `fingerprint` is RuleSetFingerprint(rules).
+  StatusOr<TermPtr> FixpointImpl(const std::vector<Rule>& rules,
+                                 uint64_t fingerprint, TermPtr term,
+                                 Trace* trace, int max_steps) const;
 
   std::optional<TermPtr> ApplyOnceImpl(const Rule& rule, const TermPtr& term,
                                        std::vector<size_t>* path,

@@ -1,5 +1,10 @@
 #include "rules/catalog.h"
 
+#include <atomic>
+#include <initializer_list>
+#include <string_view>
+#include <unordered_set>
+
 #include "common/macros.h"
 
 namespace kola {
@@ -418,12 +423,182 @@ std::vector<Rule> BagRules() {
   return rules;
 }
 
-std::vector<Rule> AllCatalogRules() {
+namespace {
+
+std::atomic<int> catalog_builds{0};
+
+std::vector<Rule> ParseCatalogRules() {
   std::vector<Rule> rules = PaperRules();
   for (Rule& rule : NormalizationRules()) rules.push_back(std::move(rule));
   for (Rule& rule : ExtendedRules()) rules.push_back(std::move(rule));
   return rules;
 }
+
+/// The rules of `all` named by `refs`, in order. As in COKO text, a "~"
+/// suffix picks a rule's right-to-left reading (ReverseRule) and a "!"
+/// suffix its apply-level variant (ApplyLevelVariant); either way the
+/// picked rule's id is the ref itself.
+std::vector<Rule> Pick(const std::vector<Rule>& all,
+                       std::initializer_list<std::string_view> refs) {
+  std::vector<Rule> picked;
+  picked.reserve(refs.size());
+  for (std::string_view ref : refs) {
+    const char modifier = ref.back();
+    if (modifier != '~' && modifier != '!') {
+      picked.push_back(FindRule(all, std::string(ref)));
+      continue;
+    }
+    const Rule& base =
+        FindRule(all, std::string(ref.substr(0, ref.size() - 1)));
+    StatusOr<Rule> variant =
+        modifier == '~' ? ReverseRule(base) : ApplyLevelVariant(base);
+    KOLA_CHECK_OK(variant.status());
+    picked.push_back(std::move(variant).value());
+  }
+  return picked;
+}
+
+/// Figure 6 code motion, in order:
+///   decompose-predicate   rules 13, 7 and the inverse facts, 14
+///   hoist-conditional     rule 15 (fires only when the predicate examines
+///                         the environment component pi1 -- the structural
+///                         stand-in for AQUA's free-variable analysis)
+///   distribute            rule 16
+///   cleanup               rules 9, 10, 3, 8, 1, 2, then 14 right-to-left,
+///                         which re-fuses the oplus chain so the projection
+///                         rules can collapse it
+std::vector<RuleBlock> CodeMotion(const std::vector<Rule>& all) {
+  std::vector<RuleBlock> blocks;
+  blocks.emplace_back("decompose-predicate",
+                      Pick(all, {"13", "7", "ext.inv-lt", "ext.inv-leq",
+                                 "ext.inv-geq", "ext.inv-eq", "ext.inv-neq",
+                                 "14"}));
+  blocks.emplace_back("hoist-conditional", Pick(all, {"15"}));
+  blocks.emplace_back("distribute", Pick(all, {"16"}));
+  blocks.emplace_back("cleanup",
+                      Pick(all, {"9", "10", "3", "8", "1", "2", "14~"}));
+  return blocks;
+}
+
+/// The Section 4.1 hidden-join strategy, in order.
+std::vector<RuleBlock> HiddenJoin(const std::vector<Rule>& all) {
+  std::vector<RuleBlock> blocks;
+  // Step 0: right-associate and unfold into apply-nested form, so the
+  // apply-level rule variants can fire mid-chain.
+  blocks.emplace_back("prep",
+                      Pick(all, {"norm.assoc", "norm.unfold",
+                                 "norm.id-apply"}));
+  // Step 1: break up the monolithic iterate (rules 17/17b) and clean up the
+  // identity heads they leave behind (rules 2, 4, 18).
+  blocks.emplace_back("break-up", Pick(all, {"17!", "17b!", "2", "4", "18",
+                                             "norm.id-apply"}));
+  // Step 2: bottom out with a nest of a join (rule 19); unfold the
+  // composition rule 19 introduces.
+  blocks.emplace_back("bottom-out", Pick(all, {"19", "norm.unfold"}));
+  // Step 3: pull nest to the top (rules 20, 21).
+  blocks.emplace_back("pull-up-nest",
+                      Pick(all, {"20!", "21!", "1", "2", "4"}));
+  // Step 4: pull unnests up just below nest (rules 22, 22b, 23).
+  blocks.emplace_back("pull-up-unnest",
+                      Pick(all, {"22!", "22b!", "23!", "1", "2", "4"}));
+  // Step 5: absorb the remaining iterates into the join (rule 24) and
+  // simplify the predicates this builds up (rules 3, 5, 6).
+  blocks.emplace_back("absorb-join",
+                      Pick(all, {"24!", "3", "5", "6", "1", "2",
+                                 "ext.and-true-right"}));
+  // Polish: rewrite componentwise pairs as products (the paper's KG2
+  // spelling) and refold the apply chain into a composition chain.
+  blocks.emplace_back("polish",
+                      Pick(all, {"ext.pair-to-product",
+                                 "ext.pair-to-product-left",
+                                 "ext.pair-to-product-right", "4", "1", "2",
+                                 "norm.fold", "norm.assoc"}));
+  return blocks;
+}
+
+std::vector<Rule> SaturationRules(const std::vector<Rule>& all) {
+  std::vector<Rule> rules;
+  std::unordered_set<std::string> seen;
+  auto add = [&](const Rule& rule) {
+    std::string key = rule.lhs->ToString() + " => " + rule.rhs->ToString();
+    for (const PropertyAtom& condition : rule.conditions) {
+      key += " if " + condition.property + "(" +
+             condition.pattern->ToString() + ")";
+    }
+    if (seen.insert(std::move(key)).second) rules.push_back(rule);
+  };
+  for (const Rule& rule : all) {
+    add(rule);
+    StatusOr<Rule> reversed = ReverseRule(rule);
+    // Reversals that invent variables are rejected by ReverseRule;
+    // reversals whose lhs is a bare metavariable (f => f o id readings)
+    // fire at every node of matching sort and only inflate the graph, so
+    // they are dropped too.
+    if (reversed.ok() && !reversed->lhs->is_metavar()) add(*reversed);
+  }
+  return rules;
+}
+
+}  // namespace
+
+RuleCatalog::RuleCatalog()
+    : all(ParseCatalogRules()),
+      bag(BagRules()),
+      simplify("simplify",
+               Pick(all.rules(),
+                    {"1", "2", "3", "4", "5", "6", "8", "9", "10", "18",
+                     "ext.and-true-right", "ext.and-false", "ext.or-true",
+                     "ext.or-false", "ext.product-id", "ext.con-true",
+                     "ext.con-false", "ext.con-same", "ext.not-not",
+                     "ext.inv-inv", "ext.iterate-false", "norm.id-apply"})),
+      cnf("convert predicates to CNF",
+          Pick(all.rules(), {"ext.not-not", "ext.demorgan-and",
+                             "ext.demorgan-or", "ext.cnf-dist-left",
+                             "ext.cnf-dist-right"})),
+      push_selects_past_joins(
+          "push selects past joins",
+          Pick(all.rules(), {"ext.select-past-join-left",
+                             "ext.select-past-join-right"})),
+      code_motion(CodeMotion(all.rules())),
+      hidden_join(HiddenJoin(all.rules())),
+      loop_fusion("loop-fusion",
+                  Pick(all.rules(), {"norm.fold", "norm.assoc", "11", "6",
+                                     "5", "1", "2", "ext.and-true-right"})),
+      explore_steps(Pick(all.rules(), {"ext.join-commute",
+                                       "ext.select-past-join-left",
+                                       "ext.select-past-join-right"})),
+      explore_cleanup(Pick(
+          all.rules(),
+          {"norm.assoc", "ext.swap-swap", "ext.swap-swap-chain",
+           "ext.inv-inv", "ext.inv-product", "ext.inv-and", "7",
+           "ext.inv-lt", "ext.inv-leq", "ext.inv-geq", "ext.inv-eq",
+           "ext.inv-neq", "1", "2", "3", "4", "5", "ext.and-true-right",
+           "ext.product-id"})),
+      saturation(SaturationRules(all.rules())) {
+  catalog_builds.fetch_add(1, std::memory_order_relaxed);
+}
+
+const RuleCatalog& RuleCatalog::Get() {
+  // Leaked: rules hold terms that may outlive static teardown order.
+  static const RuleCatalog* const catalog = new RuleCatalog();
+  return *catalog;
+}
+
+int RuleCatalog::BuildCount() {
+  return catalog_builds.load(std::memory_order_relaxed);
+}
+
+const std::vector<Rule>& AllCatalogRules() {
+  return RuleCatalog::Get().all.rules();
+}
+
+const RuleBlock& CnfBlock() { return RuleCatalog::Get().cnf; }
+
+const RuleBlock& PushSelectsPastJoinsBlock() {
+  return RuleCatalog::Get().push_selects_past_joins;
+}
+
+const RuleBlock& SimplifyBlock() { return RuleCatalog::Get().simplify; }
 
 StatusOr<const Rule*> TryFindRule(const std::vector<Rule>& rules,
                                   const std::string& id) {

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "coko/strategy.h"
+#include "rewrite/engine.h"
 #include "rewrite/rule.h"
 
 namespace kola {
@@ -45,9 +47,68 @@ std::vector<Rule> ExtendedRules();
 /// rather than the typed verifier; NOT included in AllCatalogRules.
 std::vector<Rule> BagRules();
 
-/// PaperRules + NormalizationRules + ExtendedRules (the typed-verifiable
-/// pool).
-std::vector<Rule> AllCatalogRules();
+// The section builders above parse their rules from text on every call.
+// Everything on the request path reads the process-wide parsed copy
+// instead: RuleCatalog::Get() and the accessors below.
+
+/// The compiled rule catalog: the parsed rules and every named rule set
+/// and block the optimizer pipeline runs, each fingerprinted once. Built
+/// on first use (thread-safe), never destroyed, and immutable, so every
+/// thread shares it without locking. Compiled rule indexes are not held
+/// here: they are acquired per Rewriter through Rewriter::IndexFor, which
+/// owns the governor byte charge and the index on/off switches.
+class RuleCatalog {
+ public:
+  /// The process-wide catalog.
+  static const RuleCatalog& Get();
+
+  /// How many catalogs this process has built: 0 before first use, then 1.
+  static int BuildCount();
+
+  RuleCatalog(const RuleCatalog&) = delete;
+  RuleCatalog& operator=(const RuleCatalog&) = delete;
+
+  /// PaperRules + NormalizationRules + ExtendedRules (the typed-verifiable
+  /// pool); its fingerprint keys the plan cache.
+  const RuleSet all;
+  /// BagRules (Section 6), kept apart from `all`.
+  const RuleSet bag;
+
+  /// General cleanup: identity/constant/projection/conditional laws.
+  const RuleBlock simplify;
+  /// Rewrites predicates to conjunctive normal form.
+  const RuleBlock cnf;
+  /// Pushes component-local selections below joins.
+  const RuleBlock push_selects_past_joins;
+  /// The code-motion blocks (see CodeMotionBlocks in
+  /// optimizer/code_motion.h).
+  const std::vector<RuleBlock> code_motion;
+  /// The hidden-join steps (see HiddenJoinBlocks in
+  /// optimizer/hidden_join.h).
+  const std::vector<RuleBlock> hidden_join;
+  /// Rule 11 plus predicate/identity cleanup: adjacent iterates fuse.
+  const RuleBlock loop_fusion;
+  /// ExploreJoinPlans' exploration steps (join commutation, selection
+  /// pushdown) and the cleanup set run after each of them.
+  const RuleSet explore_steps;
+  const RuleSet explore_cleanup;
+  /// The e-graph's saturation pool: `all` plus every reversed reading that
+  /// is itself well-formed (rules are equations), minus reversals whose lhs
+  /// is a bare metavariable (they fire at every node and only inflate the
+  /// graph), deduplicated by syntax.
+  const RuleSet saturation;
+
+ private:
+  RuleCatalog();
+};
+
+/// RuleCatalog::Get().all.rules().
+const std::vector<Rule>& AllCatalogRules();
+
+/// Thin accessors for the catalog's prebuilt blocks.
+const RuleBlock& CnfBlock();
+const RuleBlock& PushSelectsPastJoinsBlock();
+const RuleBlock& SimplifyBlock();
 
 /// Looks up a rule by id. NOT_FOUND when absent -- the right entry point
 /// whenever the id comes from user input (shell commands, COKO text,

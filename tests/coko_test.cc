@@ -13,8 +13,6 @@ namespace {
 
 class CokoTest : public ::testing::Test {
  protected:
-  CokoTest() : catalog_(AllCatalogRules()) {}
-
   CokoModule MustParse(const char* text) {
     auto module = ParseCoko(text, catalog_);
     EXPECT_TRUE(module.ok()) << module.status();
@@ -27,7 +25,8 @@ class CokoTest : public ::testing::Test {
     return t.value();
   }
 
-  std::vector<Rule> catalog_;
+  // The process-wide catalog itself, not a private copy.
+  const std::vector<Rule>& catalog_ = AllCatalogRules();
   Rewriter rewriter_;
 };
 

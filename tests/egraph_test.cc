@@ -116,7 +116,8 @@ TEST_F(EGraphTest, ExtractionMinimizesThroughSharedSubclasses) {
 }
 
 TEST_F(EGraphTest, SaturationRuleSetIsDeduplicatedAndReversed) {
-  const std::vector<Rule>& pool = SaturationRuleSet();
+  const RuleSet& saturation = RuleCatalog::Get().saturation;
+  const std::vector<Rule>& pool = saturation.rules();
   EXPECT_GT(pool.size(), AllCatalogRules().size());
   std::unordered_set<std::string> seen;
   bool has_reversed = false;
@@ -131,16 +132,14 @@ TEST_F(EGraphTest, SaturationRuleSetIsDeduplicatedAndReversed) {
     if (rule.id.size() > 1 && rule.id.back() == '~') has_reversed = true;
   }
   EXPECT_TRUE(has_reversed);
-  EXPECT_EQ(SaturationRuleFingerprint(), RuleSetFingerprint(pool));
+  EXPECT_EQ(saturation.fingerprint(), RuleSetFingerprint(pool));
 }
 
 TEST_F(EGraphTest, SaturateFindsSimplerEquivalents) {
   EGraph egraph;
   TermPtr query = Parse("iterate(Kp(T) & Kp(T), id o age) ! P");
   EClassId root = egraph.AddTerm(query);
-  ASSERT_TRUE(egraph.Saturate(rewriter_, SaturationRuleSet(),
-                              SaturationRuleFingerprint())
-                  .ok());
+  ASSERT_TRUE(egraph.Saturate(rewriter_, RuleCatalog::Get().saturation).ok());
   EXPECT_TRUE(egraph.stats().saturated);
   EXPECT_GT(egraph.stats().rule_applications, 0u);
   auto extracted = egraph.ExtractSmallest(root);
