@@ -238,6 +238,11 @@ class Parser {
 
   StatusOr<ExprPtr> ParsePath() {
     DepthGuard guard{this, depth_};
+    // A parenthesized level recurses through six frames (ParseOr down to
+    // ParsePrimary), so it is charged here as well as in ParseOr -- the
+    // same two units per level the OQL parser charges -- keeping the
+    // deepest accepted tower well inside the native stack.
+    KOLA_RETURN_IF_ERROR(EnterNesting());
     KOLA_ASSIGN_OR_RETURN(ExprPtr expr, ParsePrimary());
     while (Peek().kind == Tok::kDot) {
       KOLA_RETURN_IF_ERROR(EnterNesting());

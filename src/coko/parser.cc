@@ -126,16 +126,7 @@ class Parser {
       if (id.back() == '!') apply_level = true;
       id.pop_back();
     }
-    const Rule* found = nullptr;
-    for (const Rule& rule : *catalog_) {
-      if (rule.id == id) {
-        found = &rule;
-        break;
-      }
-    }
-    if (found == nullptr) {
-      return NotFoundError("COKO references unknown rule '" + id + "'");
-    }
+    KOLA_ASSIGN_OR_RETURN(const Rule* found, TryFindRule(*catalog_, id));
     Rule rule = *found;
     if (reversed) {
       KOLA_ASSIGN_OR_RETURN(rule, ReverseRule(rule));
@@ -223,28 +214,5 @@ StatusOr<CokoModule> ParseCoko(std::string_view text,
   Parser parser(Tokenize(text), &catalog);
   return parser.ParseModule();
 }
-
-const char kHiddenJoinCoko[] = R"(
-# The five-step hidden-join strategy of Section 4.1, as a COKO module.
-block prep           { exhaust norm.assoc, norm.unfold, norm.id-apply; }
-block break-up       { exhaust 17!, 17b!, 2, 4, 18, norm.id-apply; }
-block bottom-out     { exhaust 19, norm.unfold; }
-block pull-up-nest   { exhaust 20!, 21!, 1, 2, 4; }
-block pull-up-unnest { exhaust 22!, 22b!, 23!, 1, 2, 4; }
-block absorb-join    { exhaust 24!, 3, 5, 6, 1, 2, ext.and-true-right; }
-block polish {
-  exhaust ext.pair-to-product, ext.pair-to-product-left,
-          ext.pair-to-product-right, 4, 1, 2, norm.fold, norm.assoc;
-}
-block hidden-join {
-  use prep;
-  use break-up;
-  use bottom-out;
-  use pull-up-nest;
-  use pull-up-unnest;
-  use absorb-join;
-  use polish;
-}
-)";
 
 }  // namespace kola

@@ -36,19 +36,18 @@ struct CokoModule {
 ///   ruleref := RULE-ID modifier*   with modifier '~' (right-to-left
 ///              reading) or '!' (apply-level variant)
 ///
-/// Rule ids are resolved against `catalog` -- normally AllCatalogRules(),
-/// the process-wide parsed catalog, passed by reference (no copy).
-/// Comments run from '#' to end of line. Example:
+/// Rule ids are resolved against `catalog` with TryFindRule -- normally
+/// the rule catalog's `all` pool, passed by reference (no copy). A block
+/// whose body is a single exhaust/once/everywhere statement exposes that
+/// rule list, fingerprinted once, through RuleBlock::rules(). Comments run
+/// from '#' to end of line. The optimizer's own blocks are one such module,
+/// parsed once when the RuleCatalog is built (rules/catalog.cc). Example:
 ///
 ///   # the five-step hidden-join strategy
 ///   block break-up { exhaust 17!, 17b!, 2, 4, 18, norm.id-apply; }
 ///   block pipeline { use break-up; once 19; }
 StatusOr<CokoModule> ParseCoko(std::string_view text,
                                const std::vector<Rule>& catalog);
-
-/// The five-step hidden-join strategy written in COKO (matches
-/// HiddenJoinBlocks(); tested equivalent).
-extern const char kHiddenJoinCoko[];
 
 }  // namespace kola
 

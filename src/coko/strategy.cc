@@ -6,27 +6,6 @@ namespace kola {
 
 namespace {
 
-class OnceStrategy : public Strategy {
- public:
-  explicit OnceStrategy(Rule rule) : rule_(std::move(rule)) {}
-
-  StatusOr<StrategyResult> Run(const TermPtr& term, const Rewriter& rewriter,
-                               Trace* trace) const override {
-    RewriteStep step;
-    if (auto result = rewriter.ApplyOnce(rule_, term, &step)) {
-      if (trace != nullptr) {
-        if (trace->initial == nullptr) trace->initial = term;
-        trace->steps.push_back(std::move(step));
-      }
-      return StrategyResult{*result, true};
-    }
-    return StrategyResult{term, false};
-  }
-
- private:
-  Rule rule_;
-};
-
 class FirstOfStrategy : public Strategy {
  public:
   explicit FirstOfStrategy(std::vector<Rule> rules)
@@ -35,7 +14,7 @@ class FirstOfStrategy : public Strategy {
   StatusOr<StrategyResult> Run(const TermPtr& term, const Rewriter& rewriter,
                                Trace* trace) const override {
     RewriteStep step;
-    if (auto result = rewriter.ApplyAnyOnce(rules_, term, &step)) {
+    if (auto result = rewriter.ApplyAnyOnce(rules_.rules(), term, &step)) {
       if (trace != nullptr) {
         if (trace->initial == nullptr) trace->initial = term;
         trace->steps.push_back(std::move(step));
@@ -45,8 +24,10 @@ class FirstOfStrategy : public Strategy {
     return StrategyResult{term, false};
   }
 
+  const RuleSet* rules() const override { return &rules_; }
+
  private:
-  std::vector<Rule> rules_;
+  RuleSet rules_;
 };
 
 class SeqStrategy : public Strategy {
@@ -79,21 +60,23 @@ class SeqStrategy : public Strategy {
 
 class ExhaustStrategy : public Strategy {
  public:
-  ExhaustStrategy(std::shared_ptr<const RuleSet> rules, int max_steps)
+  ExhaustStrategy(std::vector<Rule> rules, int max_steps)
       : rules_(std::move(rules)), max_steps_(max_steps) {}
 
   StatusOr<StrategyResult> Run(const TermPtr& term, const Rewriter& rewriter,
                                Trace* trace) const override {
     size_t steps_before = trace == nullptr ? 0 : trace->steps.size();
     KOLA_ASSIGN_OR_RETURN(
-        TermPtr result, rewriter.Fixpoint(*rules_, term, trace, max_steps_));
+        TermPtr result, rewriter.Fixpoint(rules_, term, trace, max_steps_));
     bool changed = trace == nullptr ? !Term::Equal(result, term)
                                     : trace->steps.size() > steps_before;
     return StrategyResult{std::move(result), changed};
   }
 
+  const RuleSet* rules() const override { return &rules_; }
+
  private:
-  std::shared_ptr<const RuleSet> rules_;
+  RuleSet rules_;
   int max_steps_;
 };
 
@@ -140,6 +123,8 @@ class EverywhereStrategy : public Strategy {
     return StrategyResult{std::move(result), changed};
   }
 
+  const RuleSet* rules() const override { return &rules_; }
+
  private:
   TermPtr Sweep(const TermPtr& term, const Rewriter& rewriter,
                 const RuleIndex* index, Trace* trace, bool* changed) const {
@@ -177,10 +162,6 @@ class EverywhereStrategy : public Strategy {
 
 }  // namespace
 
-StrategyPtr Once(Rule rule) {
-  return std::make_shared<OnceStrategy>(std::move(rule));
-}
-
 StrategyPtr FirstOf(std::vector<Rule> rules) {
   return std::make_shared<FirstOfStrategy>(std::move(rules));
 }
@@ -190,8 +171,7 @@ StrategyPtr Seq(std::vector<StrategyPtr> strategies) {
 }
 
 StrategyPtr Exhaust(std::vector<Rule> rules, int max_steps) {
-  return std::make_shared<ExhaustStrategy>(
-      std::make_shared<const RuleSet>(std::move(rules)), max_steps);
+  return std::make_shared<ExhaustStrategy>(std::move(rules), max_steps);
 }
 
 StrategyPtr Repeat(StrategyPtr body, int max_rounds) {
@@ -201,10 +181,5 @@ StrategyPtr Repeat(StrategyPtr body, int max_rounds) {
 StrategyPtr Everywhere(std::vector<Rule> rules) {
   return std::make_shared<EverywhereStrategy>(std::move(rules));
 }
-
-RuleBlock::RuleBlock(std::string name, std::vector<Rule> rules)
-    : name_(std::move(name)),
-      rules_(std::make_shared<const RuleSet>(std::move(rules))),
-      strategy_(std::make_shared<ExhaustStrategy>(rules_, kExhaustMaxSteps)) {}
 
 }  // namespace kola

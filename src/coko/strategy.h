@@ -26,20 +26,21 @@ struct StrategyResult {
 /// A COKO firing strategy: a deterministic program over rule applications.
 /// The paper defers COKO to follow-on work but describes its shape -- "sets
 /// of rules that are used together, together with strategies for their
-/// firing". This is that subset: apply-once, first-of, sequence,
-/// repeat-until-fixpoint.
+/// firing". This is that subset: exhaust, first-of, one bottom-up sweep,
+/// sequence, repeat-until-fixpoint.
 class Strategy {
  public:
   virtual ~Strategy() = default;
   virtual StatusOr<StrategyResult> Run(const TermPtr& term,
                                        const Rewriter& rewriter,
                                        Trace* trace) const = 0;
+
+  /// The rule list of a single rule-list strategy (Exhaust, FirstOf,
+  /// Everywhere), fingerprinted once; nullptr for Seq and Repeat.
+  virtual const RuleSet* rules() const { return nullptr; }
 };
 
 using StrategyPtr = std::shared_ptr<const Strategy>;
-
-/// Applies `rule` once at the leftmost-outermost redex (no-op if no match).
-StrategyPtr Once(Rule rule);
 
 /// Tries rules in order; the first that fires anywhere wins (no-op if none).
 StrategyPtr FirstOf(std::vector<Rule> rules);
@@ -72,16 +73,12 @@ class RuleBlock {
   RuleBlock(std::string name, StrategyPtr strategy)
       : name_(std::move(name)), strategy_(std::move(strategy)) {}
 
-  /// An exhaustive block: Exhaust over `rules` (kExhaustMaxSteps), which
-  /// stay inspectable through rules().
-  RuleBlock(std::string name, std::vector<Rule> rules);
-
   const std::string& name() const { return name_; }
   const StrategyPtr& strategy() const { return strategy_; }
 
-  /// The rule set of an exhaustive block; nullptr for a block built from
-  /// an arbitrary strategy.
-  const RuleSet* rules() const { return rules_.get(); }
+  /// The rule set of a block whose body is one rule-list statement
+  /// (Strategy::rules()); nullptr for a composite body.
+  const RuleSet* rules() const { return strategy_->rules(); }
 
   StatusOr<StrategyResult> Apply(const TermPtr& term,
                                  const Rewriter& rewriter,
@@ -104,7 +101,6 @@ class RuleBlock {
 
  private:
   std::string name_;
-  std::shared_ptr<const RuleSet> rules_;
   StrategyPtr strategy_;
 };
 

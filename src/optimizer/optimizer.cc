@@ -42,22 +42,11 @@ std::string Degradation::ToString() const {
 }
 
 StatusOr<OptimizeResult> Optimizer::Optimize(const TermPtr& query) const {
-  if (rewriter_.options().memory_budget_bytes > 0) {
-    // A configured byte budget with no caller-supplied governor gets a
-    // private per-call one, so memory exhaustion rides the same sticky
-    // degradation path a deadline does.
-    Governor::Limits limits;
-    limits.memory_budget_bytes = rewriter_.options().memory_budget_bytes;
-    Governor governor(limits);
-    return Optimize(query, &governor);
-  }
   return RunPipeline(query, rewriter_, nullptr);
 }
 
 StatusOr<OptimizeResult> Optimizer::Optimize(const TermPtr& query,
                                              const Governor* governor) const {
-  // Delegate so a null governor still honors a configured memory budget
-  // (the delegate's private governor is non-null: no recursion).
   if (governor == nullptr) return Optimize(query);
   // A governed pass runs on a per-call Rewriter clone carrying the
   // governor, so the member rewriter_ never aliases a budget that outlives

@@ -83,9 +83,7 @@ class Optimizer {
   /// query is the floor -- and returns OK with `degradation` populated.
   /// The returned plan is always sound; a non-OK Status can only come
   /// from the contract being violated before any rewriting starts.
-  /// When RewriterOptions::memory_budget_bytes is set, the call runs under
-  /// a private per-call Governor carrying that byte budget (exceeding it
-  /// degrades exactly like a deadline).
+  /// Ungoverned: budgets come only from the Governor overload below.
   StatusOr<OptimizeResult> Optimize(const TermPtr& query) const;
 
   /// As above under a shared resource budget: the governor's deadline and

@@ -190,6 +190,12 @@ class Parser {
 
   /// select E from x1 in C1, ... where Q
   StatusOr<ExprPtr> ParseSelect() {
+    // A nested select recurses through ParseExpr and this frame, so it is
+    // charged here as well as in ParseExpr: two units per level, like a
+    // parenthesized level, keep the deepest accepted nest inside the
+    // native stack.
+    DepthGuard guard{this, depth_};
+    KOLA_RETURN_IF_ERROR(EnterNesting());
     KOLA_RETURN_IF_ERROR(ExpectKeyword("select"));
     // Projection parses after the bindings are known? No: OQL scoping puts
     // all FROM variables in scope of the select list, so we parse the raw

@@ -77,12 +77,6 @@ struct RewriterOptions {
   /// Rewriter.
   const Governor* governor = nullptr;
 
-  /// Convenience byte budget: when set (and no explicit Governor is passed
-  /// to Optimizer::Optimize), the optimizer runs the pass under a private
-  /// Governor with exactly this memory budget, so exceeding it degrades
-  /// the pass the same way a deadline does. 0 means no budget.
-  int64_t memory_budget_bytes = 0;
-
   /// Consult a compiled discrimination-tree index (rewrite/rule_index.h)
   /// when scanning a rule set, instead of probing every rule at every node.
   /// Trace-preserving by construction -- the index only filters rules whose

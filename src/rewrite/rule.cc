@@ -158,4 +158,19 @@ StatusOr<Rule> ReverseRule(const Rule& rule) {
   return reversed;
 }
 
+StatusOr<const Rule*> TryFindRule(const std::vector<Rule>& rules,
+                                  const std::string& id) {
+  for (const Rule& rule : rules) {
+    if (rule.id == id) return &rule;
+  }
+  return NotFoundError("no rule with id '" + id + "' in a catalog of " +
+                       std::to_string(rules.size()) + " rules");
+}
+
+const Rule& FindRule(const std::vector<Rule>& rules, const std::string& id) {
+  auto found = TryFindRule(rules, id);
+  KOLA_CHECK_OK(found.status());
+  return *found.value();
+}
+
 }  // namespace kola

@@ -58,6 +58,17 @@ StatusOr<Rule> ReverseRule(const Rule& rule);
 /// function-sorted.
 StatusOr<Rule> ApplyLevelVariant(const Rule& rule);
 
+/// Looks up a rule by id. NOT_FOUND when absent -- the right entry point
+/// whenever the id comes from user input (shell commands, COKO text,
+/// replay files).
+StatusOr<const Rule*> TryFindRule(const std::vector<Rule>& rules,
+                                  const std::string& id);
+
+/// Finds a rule by id; KOLA_CHECKs that it exists. Only for compile-time
+/// constant ids (a miss is a library bug); use TryFindRule for ids that
+/// originate outside the library.
+const Rule& FindRule(const std::vector<Rule>& rules, const std::string& id);
+
 }  // namespace kola
 
 #endif  // KOLA_REWRITE_RULE_H_

@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <initializer_list>
-#include <string_view>
 #include <unordered_set>
 
+#include "coko/parser.h"
 #include "common/macros.h"
 
 namespace kola {
@@ -185,8 +185,7 @@ std::vector<Rule> ExtendedRules() {
                     "right-componentwise pair is a product",
                     "(pi1, ?g o pi2)", "id x ?g", kFn));
 
-  // --- Predicate logic (the "convert predicates to CNF" block draws on
-  //     these) ---
+  // --- Predicate logic (the cnf block draws on these) ---
   rules.push_back(R("ext.and-idem", "conjunction idempotence",
                     "?p & ?p", "?p", kPr));
   rules.push_back(R("ext.or-idem", "disjunction idempotence",
@@ -434,86 +433,96 @@ std::vector<Rule> ParseCatalogRules() {
   return rules;
 }
 
-/// The rules of `all` named by `refs`, in order. As in COKO text, a "~"
-/// suffix picks a rule's right-to-left reading (ReverseRule) and a "!"
-/// suffix its apply-level variant (ApplyLevelVariant); either way the
-/// picked rule's id is the ref itself.
-std::vector<Rule> Pick(const std::vector<Rule>& all,
-                       std::initializer_list<std::string_view> refs) {
-  std::vector<Rule> picked;
-  picked.reserve(refs.size());
-  for (std::string_view ref : refs) {
-    const char modifier = ref.back();
-    if (modifier != '~' && modifier != '!') {
-      picked.push_back(FindRule(all, std::string(ref)));
-      continue;
-    }
-    const Rule& base =
-        FindRule(all, std::string(ref.substr(0, ref.size() - 1)));
-    StatusOr<Rule> variant =
-        modifier == '~' ? ReverseRule(base) : ApplyLevelVariant(base);
-    KOLA_CHECK_OK(variant.status());
-    picked.push_back(std::move(variant).value());
-  }
-  return picked;
+/// Every rule list the optimizer pipeline runs, written once. The catalog
+/// parses this module against `all` when it is built; each block lists its
+/// rules in the order the pipeline fires them.
+constexpr char kCatalogCoko[] = R"(
+# General cleanup: identity, constant, projection and conditional laws.
+block simplify {
+  exhaust 1, 2, 3, 4, 5, 6, 8, 9, 10, 18, ext.and-true-right, ext.and-false,
+          ext.or-true, ext.or-false, ext.product-id, ext.con-true,
+          ext.con-false, ext.con-same, ext.not-not, ext.inv-inv,
+          ext.iterate-false, norm.id-apply;
+}
+# Predicates to conjunctive normal form.
+block cnf {
+  exhaust ext.not-not, ext.demorgan-and, ext.demorgan-or, ext.cnf-dist-left,
+          ext.cnf-dist-right;
+}
+# Component-local selections below joins.
+block push-selects-past-joins {
+  exhaust ext.select-past-join-left, ext.select-past-join-right;
 }
 
-/// Figure 6 code motion, in order:
-///   decompose-predicate   rules 13, 7 and the inverse facts, 14
-///   hoist-conditional     rule 15 (fires only when the predicate examines
-///                         the environment component pi1 -- the structural
-///                         stand-in for AQUA's free-variable analysis)
-///   distribute            rule 16
-///   cleanup               rules 9, 10, 3, 8, 1, 2, then 14 right-to-left,
-///                         which re-fuses the oplus chain so the projection
-///                         rules can collapse it
-std::vector<RuleBlock> CodeMotion(const std::vector<Rule>& all) {
+# Figure 6 code motion. hoist-conditional fires only when the predicate
+# examines the environment component pi1 -- the structural stand-in for
+# AQUA's free-variable analysis. cleanup ends with rule 14 right-to-left,
+# which re-fuses the oplus chain so the projection rules can collapse it.
+block decompose-predicate {
+  exhaust 13, 7, ext.inv-lt, ext.inv-leq, ext.inv-geq, ext.inv-eq,
+          ext.inv-neq, 14;
+}
+block hoist-conditional { exhaust 15; }
+block distribute        { exhaust 16; }
+block cleanup           { exhaust 9, 10, 3, 8, 1, 2, 14~; }
+
+# The Section 4.1 hidden-join strategy. prep right-associates and unfolds
+# into apply-nested form, so the apply-level (!) variants fire mid-chain.
+block prep { exhaust norm.assoc, norm.unfold, norm.id-apply; }
+# Step 1: break up the monolithic iterate (17/17b), clean identity heads.
+block break-up { exhaust 17!, 17b!, 2, 4, 18, norm.id-apply; }
+# Step 2: bottom out with a nest of a join; unfold the composition 19 makes.
+block bottom-out { exhaust 19, norm.unfold; }
+# Step 3: pull nest to the top.
+block pull-up-nest { exhaust 20!, 21!, 1, 2, 4; }
+# Step 4: pull unnests up just below nest.
+block pull-up-unnest { exhaust 22!, 22b!, 23!, 1, 2, 4; }
+# Step 5: absorb the remaining iterates into the join; simplify predicates.
+block absorb-join { exhaust 24!, 3, 5, 6, 1, 2, ext.and-true-right; }
+# Componentwise pairs become products (the paper's KG2 spelling) and the
+# apply chain refolds into a composition chain.
+block polish {
+  exhaust ext.pair-to-product, ext.pair-to-product-left,
+          ext.pair-to-product-right, 4, 1, 2, norm.fold, norm.assoc;
+}
+
+# Rule 11 plus predicate/identity cleanup: adjacent iterates fuse.
+block loop-fusion {
+  exhaust norm.fold, norm.assoc, 11, 6, 5, 1, 2, ext.and-true-right;
+}
+
+# ExploreJoinPlans fires each step rule once per plan, then runs the
+# cleanup list to fixpoint.
+block explore-steps {
+  once ext.join-commute, ext.select-past-join-left,
+       ext.select-past-join-right;
+}
+block explore-cleanup {
+  exhaust norm.assoc, ext.swap-swap, ext.swap-swap-chain, ext.inv-inv,
+          ext.inv-product, ext.inv-and, 7, ext.inv-lt, ext.inv-leq,
+          ext.inv-geq, ext.inv-eq, ext.inv-neq, 1, 2, 3, 4, 5,
+          ext.and-true-right, ext.product-id;
+}
+)";
+
+const RuleBlock& Block(const CokoModule& module, const std::string& name) {
+  const RuleBlock* block = module.Find(name);
+  KOLA_CHECK(block != nullptr);
+  return *block;
+}
+
+std::vector<RuleBlock> Blocks(const CokoModule& module,
+                              std::initializer_list<const char*> names) {
   std::vector<RuleBlock> blocks;
-  blocks.emplace_back("decompose-predicate",
-                      Pick(all, {"13", "7", "ext.inv-lt", "ext.inv-leq",
-                                 "ext.inv-geq", "ext.inv-eq", "ext.inv-neq",
-                                 "14"}));
-  blocks.emplace_back("hoist-conditional", Pick(all, {"15"}));
-  blocks.emplace_back("distribute", Pick(all, {"16"}));
-  blocks.emplace_back("cleanup",
-                      Pick(all, {"9", "10", "3", "8", "1", "2", "14~"}));
+  for (const char* name : names) blocks.push_back(Block(module, name));
   return blocks;
 }
 
-/// The Section 4.1 hidden-join strategy, in order.
-std::vector<RuleBlock> HiddenJoin(const std::vector<Rule>& all) {
-  std::vector<RuleBlock> blocks;
-  // Step 0: right-associate and unfold into apply-nested form, so the
-  // apply-level rule variants can fire mid-chain.
-  blocks.emplace_back("prep",
-                      Pick(all, {"norm.assoc", "norm.unfold",
-                                 "norm.id-apply"}));
-  // Step 1: break up the monolithic iterate (rules 17/17b) and clean up the
-  // identity heads they leave behind (rules 2, 4, 18).
-  blocks.emplace_back("break-up", Pick(all, {"17!", "17b!", "2", "4", "18",
-                                             "norm.id-apply"}));
-  // Step 2: bottom out with a nest of a join (rule 19); unfold the
-  // composition rule 19 introduces.
-  blocks.emplace_back("bottom-out", Pick(all, {"19", "norm.unfold"}));
-  // Step 3: pull nest to the top (rules 20, 21).
-  blocks.emplace_back("pull-up-nest",
-                      Pick(all, {"20!", "21!", "1", "2", "4"}));
-  // Step 4: pull unnests up just below nest (rules 22, 22b, 23).
-  blocks.emplace_back("pull-up-unnest",
-                      Pick(all, {"22!", "22b!", "23!", "1", "2", "4"}));
-  // Step 5: absorb the remaining iterates into the join (rule 24) and
-  // simplify the predicates this builds up (rules 3, 5, 6).
-  blocks.emplace_back("absorb-join",
-                      Pick(all, {"24!", "3", "5", "6", "1", "2",
-                                 "ext.and-true-right"}));
-  // Polish: rewrite componentwise pairs as products (the paper's KG2
-  // spelling) and refold the apply chain into a composition chain.
-  blocks.emplace_back("polish",
-                      Pick(all, {"ext.pair-to-product",
-                                 "ext.pair-to-product-left",
-                                 "ext.pair-to-product-right", "4", "1", "2",
-                                 "norm.fold", "norm.assoc"}));
-  return blocks;
+/// The rule list of a single-statement block.
+const RuleSet& Rules(const CokoModule& module, const std::string& name) {
+  const RuleSet* rules = Block(module, name).rules();
+  KOLA_CHECK(rules != nullptr);
+  return *rules;
 }
 
 std::vector<Rule> SaturationRules(const std::vector<Rule>& all) {
@@ -541,46 +550,32 @@ std::vector<Rule> SaturationRules(const std::vector<Rule>& all) {
 
 }  // namespace
 
-RuleCatalog::RuleCatalog()
-    : all(ParseCatalogRules()),
+RuleCatalog::RuleCatalog(std::vector<Rule> rules, const CokoModule& blocks)
+    : all(std::move(rules)),
       bag(BagRules()),
-      simplify("simplify",
-               Pick(all.rules(),
-                    {"1", "2", "3", "4", "5", "6", "8", "9", "10", "18",
-                     "ext.and-true-right", "ext.and-false", "ext.or-true",
-                     "ext.or-false", "ext.product-id", "ext.con-true",
-                     "ext.con-false", "ext.con-same", "ext.not-not",
-                     "ext.inv-inv", "ext.iterate-false", "norm.id-apply"})),
-      cnf("convert predicates to CNF",
-          Pick(all.rules(), {"ext.not-not", "ext.demorgan-and",
-                             "ext.demorgan-or", "ext.cnf-dist-left",
-                             "ext.cnf-dist-right"})),
-      push_selects_past_joins(
-          "push selects past joins",
-          Pick(all.rules(), {"ext.select-past-join-left",
-                             "ext.select-past-join-right"})),
-      code_motion(CodeMotion(all.rules())),
-      hidden_join(HiddenJoin(all.rules())),
-      loop_fusion("loop-fusion",
-                  Pick(all.rules(), {"norm.fold", "norm.assoc", "11", "6",
-                                     "5", "1", "2", "ext.and-true-right"})),
-      explore_steps(Pick(all.rules(), {"ext.join-commute",
-                                       "ext.select-past-join-left",
-                                       "ext.select-past-join-right"})),
-      explore_cleanup(Pick(
-          all.rules(),
-          {"norm.assoc", "ext.swap-swap", "ext.swap-swap-chain",
-           "ext.inv-inv", "ext.inv-product", "ext.inv-and", "7",
-           "ext.inv-lt", "ext.inv-leq", "ext.inv-geq", "ext.inv-eq",
-           "ext.inv-neq", "1", "2", "3", "4", "5", "ext.and-true-right",
-           "ext.product-id"})),
+      simplify(Block(blocks, "simplify")),
+      cnf(Block(blocks, "cnf")),
+      push_selects_past_joins(Block(blocks, "push-selects-past-joins")),
+      code_motion(Blocks(blocks, {"decompose-predicate", "hoist-conditional",
+                                  "distribute", "cleanup"})),
+      hidden_join(Blocks(blocks, {"prep", "break-up", "bottom-out",
+                                  "pull-up-nest", "pull-up-unnest",
+                                  "absorb-join", "polish"})),
+      loop_fusion(Block(blocks, "loop-fusion")),
+      explore_steps(Rules(blocks, "explore-steps")),
+      explore_cleanup(Rules(blocks, "explore-cleanup")),
       saturation(SaturationRules(all.rules())) {
   catalog_builds.fetch_add(1, std::memory_order_relaxed);
 }
 
 const RuleCatalog& RuleCatalog::Get() {
   // Leaked: rules hold terms that may outlive static teardown order.
-  static const RuleCatalog* const catalog = new RuleCatalog();
+  static const RuleCatalog* const catalog = [] {
+    std::vector<Rule> all = ParseCatalogRules();
+    StatusOr<CokoModule> blocks = ParseCoko(kCatalogCoko, all);
+    KOLA_CHECK_OK(blocks.status());
+    return new RuleCatalog(std::move(all), blocks.value());
+  }();
   return *catalog;
 }
 
@@ -599,20 +594,5 @@ const RuleBlock& PushSelectsPastJoinsBlock() {
 }
 
 const RuleBlock& SimplifyBlock() { return RuleCatalog::Get().simplify; }
-
-StatusOr<const Rule*> TryFindRule(const std::vector<Rule>& rules,
-                                  const std::string& id) {
-  for (const Rule& rule : rules) {
-    if (rule.id == id) return &rule;
-  }
-  return NotFoundError("no rule with id '" + id + "' in a catalog of " +
-                       std::to_string(rules.size()) + " rules");
-}
-
-const Rule& FindRule(const std::vector<Rule>& rules, const std::string& id) {
-  auto found = TryFindRule(rules, id);
-  KOLA_CHECK_OK(found.status());
-  return *found.value();
-}
 
 }  // namespace kola

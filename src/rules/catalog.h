@@ -1,7 +1,6 @@
 #ifndef KOLA_RULES_CATALOG_H_
 #define KOLA_RULES_CATALOG_H_
 
-#include <string>
 #include <vector>
 
 #include "coko/strategy.h"
@@ -9,6 +8,8 @@
 #include "rewrite/rule.h"
 
 namespace kola {
+
+struct CokoModule;
 
 /// The paper's rules 1-24 (Figures 4, 5 and 8), under their original
 /// numbering, plus "17b" (the g = id reading of rule 17 that the paper
@@ -52,11 +53,14 @@ std::vector<Rule> BagRules();
 // instead: RuleCatalog::Get() and the accessors below.
 
 /// The compiled rule catalog: the parsed rules and every named rule set
-/// and block the optimizer pipeline runs, each fingerprinted once. Built
-/// on first use (thread-safe), never destroyed, and immutable, so every
-/// thread shares it without locking. Compiled rule indexes are not held
-/// here: they are acquired per Rewriter through Rewriter::IndexFor, which
-/// owns the governor byte charge and the index on/off switches.
+/// and block the optimizer pipeline runs, each fingerprinted once. Every
+/// block and exploration rule list is written once, in one COKO module
+/// (coko/parser.h) kept in catalog.cc, and read out of it when the catalog
+/// is built. Built on first use (thread-safe), never destroyed, and
+/// immutable, so every thread shares it without locking. Compiled rule
+/// indexes are not held here: they are acquired per Rewriter through
+/// Rewriter::IndexFor, which owns the governor byte charge and the index
+/// on/off switches.
 class RuleCatalog {
  public:
   /// The process-wide catalog.
@@ -89,7 +93,8 @@ class RuleCatalog {
   /// Rule 11 plus predicate/identity cleanup: adjacent iterates fuse.
   const RuleBlock loop_fusion;
   /// ExploreJoinPlans' exploration steps (join commutation, selection
-  /// pushdown) and the cleanup set run after each of them.
+  /// pushdown) and the cleanup set run after each of them (the rule lists
+  /// of the module's explore-steps and explore-cleanup blocks).
   const RuleSet explore_steps;
   const RuleSet explore_cleanup;
   /// The e-graph's saturation pool: `all` plus every reversed reading that
@@ -99,7 +104,8 @@ class RuleCatalog {
   const RuleSet saturation;
 
  private:
-  RuleCatalog();
+  /// `blocks` is the catalog's COKO module, parsed against `all`.
+  RuleCatalog(std::vector<Rule> all, const CokoModule& blocks);
 };
 
 /// RuleCatalog::Get().all.rules().
@@ -109,17 +115,6 @@ const std::vector<Rule>& AllCatalogRules();
 const RuleBlock& CnfBlock();
 const RuleBlock& PushSelectsPastJoinsBlock();
 const RuleBlock& SimplifyBlock();
-
-/// Looks up a rule by id. NOT_FOUND when absent -- the right entry point
-/// whenever the id comes from user input (shell commands, COKO text,
-/// replay files).
-StatusOr<const Rule*> TryFindRule(const std::vector<Rule>& rules,
-                                  const std::string& id);
-
-/// Finds a rule by id; KOLA_CHECKs that it exists. Only for compile-time
-/// constant ids (a miss is a library bug); use TryFindRule for ids that
-/// originate outside the library.
-const Rule& FindRule(const std::vector<Rule>& rules, const std::string& id);
 
 }  // namespace kola
 

@@ -146,12 +146,12 @@ TEST_F(CatalogTest, NamedBlocksMatchGoldenRuleLists) {
                     "ext.or-false", "ext.product-id", "ext.con-true",
                     "ext.con-false", "ext.con-same", "ext.not-not",
                     "ext.inv-inv", "ext.iterate-false", "norm.id-apply"}));
-  EXPECT_EQ(catalog.cnf.name(), "convert predicates to CNF");
+  EXPECT_EQ(catalog.cnf.name(), "cnf");
   EXPECT_EQ(Ids(catalog.cnf),
             (IdList{"ext.not-not", "ext.demorgan-and", "ext.demorgan-or",
                     "ext.cnf-dist-left", "ext.cnf-dist-right"}));
   EXPECT_EQ(catalog.push_selects_past_joins.name(),
-            "push selects past joins");
+            "push-selects-past-joins");
   EXPECT_EQ(Ids(catalog.push_selects_past_joins),
             (IdList{"ext.select-past-join-left",
                     "ext.select-past-join-right"}));

@@ -192,10 +192,10 @@ TEST_F(DerivationsTest, SimplifyBlockCleansIdentities) {
 }
 
 TEST_F(DerivationsTest, StrategyCombinators) {
-  // Seq of Once strategies fires in order; Repeat drives to fixpoint.
+  // A one-rule FirstOf fires once; Repeat drives it to fixpoint.
   Rule r1 = FindRule(rules_, "1");
   TermPtr term = Q("(age o id) o id", Sort::kFunction);
-  auto once = Once(r1);
+  auto once = FirstOf({r1});
   Trace trace;
   auto after_one = once->Run(term, rewriter_, &trace);
   ASSERT_TRUE(after_one.ok());

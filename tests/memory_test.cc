@@ -232,18 +232,6 @@ TEST_F(BudgetedOptimizerTest, OneByteBudgetDegradesNeverAborts) {
   ASSERT_NE(result->query, nullptr);  // the input floor survives
 }
 
-TEST_F(BudgetedOptimizerTest, OptionsBudgetRoutesThroughPrivateGovernor) {
-  RewriterOptions options;
-  options.memory_budget_bytes = 1;
-  Optimizer optimizer(&properties_, db_.get(), options);
-  TermPtr q =
-      Q("iterate(Kp(T), age) o iterate(gt @ (age, Kf(25)), id) ! P");
-  auto result = optimizer.Optimize(q);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->degradation.degraded);
-  EXPECT_EQ(result->degradation.code, StatusCode::kResourceExhausted);
-}
-
 TEST_F(BudgetedOptimizerTest, AccountingOnlyGovernorMatchesUngoverned) {
   Optimizer optimizer(&properties_, db_.get());
   TermPtr q =
