@@ -17,7 +17,8 @@ namespace aqua {
 ///   notE    := 'not' notE | cmp
 ///   cmp     := path (('==' '!=' '<' '<=' '>' '>=' 'in') path)?
 ///   path    := primary ('.' IDENT)*
-///   primary := INT | STRING | '{' '}' | IDENT
+///   primary := INT | STRING | 'true' | 'false' | IDENT
+///           | '{' (const (',' const)*)? '}'   -- every element a constant
 ///           | '[' expr ',' expr ']' | '(' expr ')'
 ///           | 'app' '(' lambda ')' '(' expr ')'
 ///           | 'sel' '(' lambda ')' '(' expr ')'
@@ -26,8 +27,10 @@ namespace aqua {
 ///           | 'if' expr 'then' expr 'else' expr
 ///   lambda  := '\' IDENT IDENT? '.' expr
 ///
-/// An identifier is a variable reference when bound by an enclosing
-/// lambda, otherwise a collection name. Example (the paper's A4):
+/// INT may carry a leading '-'; identifiers may contain primes (`x'`). An
+/// identifier is a variable reference when bound by an enclosing lambda,
+/// otherwise a collection name. The boolean chain from orE down to cmp is
+/// shared with the OQL front end (aqua/syntax.h). Example (the paper's A4):
 ///
 ///   app(\p. [p, sel(\c. p.age > 25)(p.child)])(P)
 StatusOr<ExprPtr> ParseAqua(std::string_view text);

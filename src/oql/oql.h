@@ -17,12 +17,21 @@ namespace oql {
 ///   query    := 'select' expr 'from' binding (',' binding)*
 ///               ('where' pred)?
 ///   binding  := IDENT 'in' expr
-///   pred     := disjunctions/conjunctions/negations of comparisons
-///               (== != < <= > >= in) over exprs, with parentheses
-///   expr     := path | INT | STRING | '[' expr ',' expr ']'
-///             | '(' query ')'                      -- nested subquery
-///             | '{' (const (',' const)*)? '}'
+///   pred     := and ('or' and)*
+///   and      := not ('and' not)*
+///   not      := 'not' not | expr (('==' '!=' '<' '<=' '>' '>=' 'in') expr)?
+///   expr     := path | INT | STRING | 'true' | 'false'
+///             | '[' expr ',' expr ']'
+///             | '{' (const (',' const)*)? '}'   -- every element a constant
+///             | '(' query ')'                   -- nested subquery
+///             | '(' pred ')'
+///             | 'flatten' '(' (query | expr) ')'
 ///   path     := IDENT ('.' IDENT)*
+///
+/// INT may carry a leading '-'. `flatten` not followed by '(' is a
+/// collection name. The predicate grammar is the AQUA front end's
+/// (aqua/syntax.h); unlike AQUA, OQL has no lambdas, so `\` and primed
+/// identifiers are rejected.
 ///
 /// Lowering: `select E from x1 in C1, ..., xk in Ck where Q` becomes the
 /// AQUA nest

@@ -17,9 +17,13 @@
 #include "common/parse_number.h"
 #include "common/string_util.h"
 #include "service/plan_cache_io.h"
+#include "service/poll_fd.h"
 #include "term/term.h"
 
 namespace kola {
+
+using service_internal::NowMs;
+using service_internal::PollFd;
 
 namespace {
 
@@ -29,26 +33,6 @@ constexpr uint64_t kMaxSyncBytes = 256ull << 20;
 
 /// Cap on the full-jitter backoff between failed syncs.
 constexpr int64_t kMaxBackoffMs = 5000;
-
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Same poll discipline as SocketServer: absolute deadline, EINTR restarts
-/// with the remaining budget. Returns >0 ready, 0 deadline, <0 error.
-int PollFd(int fd, short events, int64_t deadline_ms) {
-  for (;;) {
-    int64_t remaining = deadline_ms - NowMs();
-    if (remaining <= 0) return 0;
-    pollfd pfd{fd, events, 0};
-    int rc = ::poll(&pfd, 1,
-                    static_cast<int>(std::min<int64_t>(remaining, 1 << 30)));
-    if (rc < 0 && errno == EINTR) continue;
-    return rc;
-  }
-}
 
 Status Errno(const std::string& what) {
   return UnavailableError(what + ": " + std::strerror(errno));

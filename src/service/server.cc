@@ -16,37 +16,17 @@
 
 #include "common/fault_injection.h"
 #include "common/string_util.h"
+#include "service/poll_fd.h"
 
 namespace kola {
+
+using service_internal::NowMs;
+using service_internal::PollFd;
 
 namespace {
 
 Status Errno(const std::string& what) {
   return InternalError(what + ": " + std::strerror(errno));
-}
-
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Polls `fd` for `events` up to `deadline_ms` (absolute, NowMs clock;
-/// -1 = no deadline). Returns >0 when ready, 0 on deadline, <0 on a
-/// non-EINTR error. EINTR restarts with the remaining budget.
-int PollFd(int fd, short events, int64_t deadline_ms) {
-  for (;;) {
-    int timeout = -1;
-    if (deadline_ms >= 0) {
-      int64_t remaining = deadline_ms - NowMs();
-      if (remaining <= 0) return 0;
-      timeout = static_cast<int>(std::min<int64_t>(remaining, 1 << 30));
-    }
-    pollfd pfd{fd, events, 0};
-    int rc = ::poll(&pfd, 1, timeout);
-    if (rc < 0 && errno == EINTR) continue;
-    return rc;
-  }
 }
 
 }  // namespace

@@ -257,12 +257,14 @@ class Parser {
   }
 
  private:
-  // Nesting bound for the recursive descent. Every nesting level of the
+  // Depth budget for the recursive descent. Every nesting level of the
   // input (parentheses, `!`/`o` right recursion) costs a handful of native
   // frames, so adversarially deep inputs -- like the printed form of a
   // 100k-node spine -- must fail with RESOURCE_EXHAUSTED well before the
-  // native stack runs out. Real queries and shrunk repros nest far below
-  // this.
+  // native stack runs out. The budget is counted in charges, not levels:
+  // a paren level, a former's argument or a `!` costs 2 (ParseApply and
+  // ParseCompose), an `o` 1. Real queries and shrunk repros stay far
+  // below it.
   static constexpr int kMaxNestingDepth = 1'000;
 
   struct DepthGuard {
@@ -273,8 +275,9 @@ class Parser {
   Status EnterNesting() {
     if (depth_ >= kMaxNestingDepth) {
       return ResourceExhaustedError(
-          "term nesting exceeds " + std::to_string(kMaxNestingDepth) +
-          " levels at position " + std::to_string(Peek().position));
+          "term nesting exceeds the parser's depth budget of " +
+          std::to_string(kMaxNestingDepth) + " at position " +
+          std::to_string(Peek().position));
     }
     ++depth_;
     return Status::OK();

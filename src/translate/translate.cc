@@ -53,14 +53,17 @@ StatusOr<size_t> EnvIndex(const std::vector<std::string>& env,
 }  // namespace
 
 Status Translator::EnterNesting(const ExprPtr& expr) {
-  // Matches the parsers' nesting bound (term/parser.cc): each level of the
-  // mutual recursion costs a bounded number of native frames, so 1000
-  // levels fail cleanly long before the stack would run out.
+  // The parsers' budget size (aqua/syntax.h, term/parser.cc), counted
+  // here as one unit per TranslateQuery/TranslateFn/TranslatePred call:
+  // about one per Expr level, two where a closed subexpression inside a
+  // function is translated as a query. Each call costs a bounded number of
+  // native frames, so deep expressions fail cleanly long before the stack
+  // would run out.
   static constexpr int kMaxNestingDepth = 1'000;
   if (depth_ >= kMaxNestingDepth) {
     return ResourceExhaustedError(
-        "AQUA expression nesting exceeds " +
-        std::to_string(kMaxNestingDepth) + " levels while translating " +
+        "AQUA expression nesting exceeds the translator's depth budget of " +
+        std::to_string(kMaxNestingDepth) + " while translating " +
         aqua::ExprKindToString(expr->kind()));
   }
   ++depth_;

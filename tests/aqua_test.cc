@@ -80,6 +80,65 @@ TEST(AquaParserTest, RoundTripsThroughToString) {
   }
 }
 
+// The accepted language, pinned input by input: the status code, and for
+// accepted inputs the Expr they print as. AQUA has lambdas, so `\` and
+// primed identifiers lex here (OQL rejects both), and `.attr` follows any
+// primary, not just a name.
+struct LanguageCase {
+  const char* text;
+  StatusCode code;
+  const char* printed;  // Expr::ToString() when accepted
+};
+
+TEST(AquaParserTest, LanguageTable) {
+  const LanguageCase cases[] = {
+      {"app(\\x'. x')(P)", StatusCode::kOk, "app(\\x'. x')(P)"},
+      {"x'y", StatusCode::kOk, "x'y"},
+      {"(x).age", StatusCode::kOk, "x.age"},
+      {"app(\\x. (x).age)(P)", StatusCode::kOk, "app(\\x. x.age)(P)"},
+      {"app(\\p. p)(P).age", StatusCode::kOk, "app(\\p. p)(P).age"},
+      {"[1, 2].a", StatusCode::kOk, "[1, 2].a"},
+      {"=", StatusCode::kInvalidArgument, nullptr},
+      {"!", StatusCode::kInvalidArgument, nullptr},
+      {"a ! b", StatusCode::kInvalidArgument, nullptr},
+      {"a = b", StatusCode::kInvalidArgument, nullptr},
+      {"!=", StatusCode::kInvalidArgument, nullptr},
+      {"-5", StatusCode::kOk, "-5"},
+      {"sel(\\p. p.age > -3)(P)", StatusCode::kOk, "sel(\\p. (p.age > -3))(P)"},
+      {"x - 1", StatusCode::kInvalidArgument, nullptr},
+      {"99999999999999999999", StatusCode::kInvalidArgument, nullptr},
+      {"sel(\\p. p.age > 9223372036854775807)(P)", StatusCode::kOk,
+       "sel(\\p. (p.age > 9223372036854775807))(P)"},
+      {"{1, x}", StatusCode::kInvalidArgument, nullptr},
+      {"{1 == 1}", StatusCode::kInvalidArgument, nullptr},
+      {"{1, \"a\", true, false, -2}", StatusCode::kOk,
+       "{false, true, -2, 1, \"a\"}"},
+      {"{(1)}", StatusCode::kOk, "{1}"},
+      {"{{1}, {2, 3}}", StatusCode::kOk, "{{1}, {2, 3}}"},
+      {"{}", StatusCode::kOk, "{}"},
+      {"not not x", StatusCode::kOk, "not not x"},
+      {"x \"in\" y", StatusCode::kInvalidArgument, nullptr},
+      {"x in y", StatusCode::kOk, "(x in y)"},
+      {"flatten", StatusCode::kInvalidArgument, nullptr},
+      {"flatten(P).x", StatusCode::kOk, "flatten(P).x"},
+      {"if true then 1 else 2", StatusCode::kOk, "if true then 1 else 2"},
+      {"if x then y", StatusCode::kInvalidArgument, nullptr},
+      {"\\x. x", StatusCode::kInvalidArgument, nullptr},
+      {"x@y", StatusCode::kInvalidArgument, nullptr},
+      {"[x, y, z]", StatusCode::kInvalidArgument, nullptr},
+      {"app(\\a. app(\\a. a)(a))(P)", StatusCode::kOk,
+       "app(\\a. app(\\a. a)(a))(P)"},
+  };
+  for (const LanguageCase& c : cases) {
+    auto parsed = ParseAqua(c.text);
+    EXPECT_EQ(parsed.status().code(), c.code) << c.text << ": "
+                                              << parsed.status();
+    if (parsed.ok() && c.printed != nullptr) {
+      EXPECT_EQ(parsed.value()->ToString(), c.printed) << c.text;
+    }
+  }
+}
+
 TEST(AquaExprTest, FreeVars) {
   ExprPtr a4_body = P("app(\\p. sel(\\c. p.age > 25)(p.child))(P)");
   const ExprPtr& sel = a4_body->child(0)->child(0);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "aqua/parser.h"
 #include "common/random.h"
@@ -482,6 +483,30 @@ TEST(DeepFrontEndTest, OqlParserRejectsDeepNotChain) {
   ExpectFrontEndExhausted(parsed.status());
 }
 
+TEST(DeepFrontEndTest, RefusalNamesTheDepthBudgetNotLevels) {
+  // The guards charge two units per paren level, so a 500-deep tower
+  // exhausts the budget of 1000 without nesting 1000 levels; the message
+  // must say so.
+  std::string aqua_text = std::string(500, '(') + "1" + std::string(500, ')');
+  auto aqua_parsed = aqua::ParseAqua(aqua_text);
+  ASSERT_FALSE(aqua_parsed.ok());
+  EXPECT_EQ(aqua_parsed.status().code(), StatusCode::kResourceExhausted);
+  const std::string message = aqua_parsed.status().message();
+  EXPECT_NE(message.find("AQUA nesting exceeds the parser's depth budget of "
+                         "1000 at position 500"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("levels"), std::string::npos) << message;
+
+  std::string term_text =
+      std::string(500, '(') + "id" + std::string(500, ')');
+  auto term_parsed = ParseTerm(term_text, Sort::kFunction);
+  ASSERT_FALSE(term_parsed.ok());
+  EXPECT_EQ(term_parsed.status().message(),
+            "term nesting exceeds the parser's depth budget of 1000 at "
+            "position 500");
+}
+
 TEST(DeepFrontEndTest, TranslatorRejectsDeepProgrammaticExpr) {
   // Expressions built in code bypass the parser guards; the translator's
   // own guard must stop the mutual recursion. Kept to a few thousand
@@ -510,6 +535,68 @@ TEST(DeepFrontEndTest, ModeratelyNestedOqlAndAquaStillWork) {
   Translator translator;
   auto lowered = translator.TranslateQuery(oql_expr.value());
   ASSERT_TRUE(lowered.ok()) << lowered.status();
+}
+
+// ---------------------------------------------------------------------------
+// The depth budgets' exact boundaries. Each parser charges its guard a fixed
+// number of units per construct, so a tower of one construct has a deepest
+// accepted height, and one level more is refused with RESOURCE_EXHAUSTED.
+// ---------------------------------------------------------------------------
+
+std::string Repeat(const std::string& piece, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+TEST(DepthBoundaryTest, DeepestAcceptedTowerParsesAndOneMoreIsRefused) {
+  struct Boundary {
+    const char* construct;
+    int deepest_accepted;
+    std::function<Status(int)> parse;  // parses a tower of height n
+  };
+  const Boundary boundaries[] = {
+      {"AQUA parens", 499,
+       [](int n) {
+         return aqua::ParseAqua(Repeat("(", n) + "1" + Repeat(")", n))
+             .status();
+       }},
+      {"AQUA not chain", 998,
+       [](int n) {
+         return aqua::ParseAqua(Repeat("not ", n) + "true").status();
+       }},
+      {"OQL parens inside where", 498,
+       [](int n) {
+         return oql::ParseOql("select x from x in C where " +
+                              Repeat("(", n) + "true" + Repeat(")", n))
+             .status();
+       }},
+      {"OQL parens in the select list", 499,
+       [](int n) {
+         return oql::ParseOql("select " + Repeat("(", n) + "x" +
+                              Repeat(")", n) + " from x in C")
+             .status();
+       }},
+      {"OQL nested flatten((select ...))", 332,
+       [](int n) {
+         return oql::ParseOql(Repeat("select x from x in flatten((", n) +
+                              "select x from x in C" + Repeat("))", n))
+             .status();
+       }},
+      {"KOLA term parens", 499,
+       [](int n) {
+         return ParseTerm(Repeat("(", n) + "id" + Repeat(")", n),
+                          Sort::kFunction)
+             .status();
+       }},
+  };
+  for (const Boundary& b : boundaries) {
+    SCOPED_TRACE(b.construct);
+    Status deepest = b.parse(b.deepest_accepted);
+    EXPECT_TRUE(deepest.ok()) << deepest;
+    Status past = b.parse(b.deepest_accepted + 1);
+    EXPECT_EQ(past.code(), StatusCode::kResourceExhausted) << past;
+  }
 }
 
 }  // namespace

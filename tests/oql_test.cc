@@ -152,6 +152,76 @@ TEST_F(OqlTest, ParseErrors) {
   EXPECT_FALSE(oql::ParseOql("select p from p in P extra").ok());
 }
 
+// The accepted language, pinned input by input: the status code, and for
+// accepted inputs the AQUA Expr they lower to. Unlike AQUA, OQL has no
+// lambdas (`\` and primed identifiers are lexical errors), `.attr` follows
+// only a name, and `flatten` not followed by '(' is a collection name.
+struct LanguageCase {
+  const char* text;
+  StatusCode code;
+  const char* printed;  // Expr::ToString() when accepted
+};
+
+TEST(OqlLanguageTest, LanguageTable) {
+  const LanguageCase cases[] = {
+      {"select \\x from x in P", StatusCode::kInvalidArgument, nullptr},
+      {"select x' from x' in P", StatusCode::kInvalidArgument, nullptr},
+      {"select (x).age from x in P", StatusCode::kInvalidArgument, nullptr},
+      {"select ((x.age)) from x in P", StatusCode::kOk, "app(\\x. x.age)(P)"},
+      {"select x from x in flatten", StatusCode::kOk, "flatten"},
+      {"select x from x in flatten(P)", StatusCode::kOk, "flatten(P)"},
+      {"select flatten((select y from y in x.child)) from x in P",
+       StatusCode::kOk, "app(\\x. flatten(x.child))(P)"},
+      {"select x from x in P where flatten", StatusCode::kOk,
+       "sel(\\x. flatten)(P)"},
+      {"select x from x in P where x.age = 3", StatusCode::kInvalidArgument,
+       nullptr},
+      {"select x from x in P where ! x", StatusCode::kInvalidArgument, nullptr},
+      {"select x from x in P where x.age ! 3", StatusCode::kInvalidArgument,
+       nullptr},
+      {"select x from x in P where x.age > -5", StatusCode::kOk,
+       "sel(\\x. (x.age > -5))(P)"},
+      {"select -5 from x in P", StatusCode::kOk, "app(\\x. -5)(P)"},
+      {"select x from x in P where x.age > 99999999999999999999",
+       StatusCode::kInvalidArgument, nullptr},
+      {"select x from x in P where x.age in {1, x.age}",
+       StatusCode::kInvalidArgument, nullptr},
+      {"select x from x in P where x.age in {1, 2}", StatusCode::kOk,
+       "sel(\\x. (x.age in {1, 2}))(P)"},
+      {"select {1, \"a\", true} from x in P", StatusCode::kOk,
+       "app(\\x. {true, 1, \"a\"})(P)"},
+      {"select {1 == 1} from x in P", StatusCode::kInvalidArgument, nullptr},
+      {"select {(1)} from x in P", StatusCode::kOk, "app(\\x. {1})(P)"},
+      {"select x from x in P where x.age > 3 and not x.age < 5 or "
+       "x.name == \"b\"",
+       StatusCode::kOk,
+       "sel(\\x. (((x.age > 3) and not (x.age < 5)) or "
+       "(x.name == \"b\")))(P)"},
+      {"select x from x in P where x \"in\" P", StatusCode::kInvalidArgument,
+       nullptr},
+      {"select (select y from y in x.child) from x in P", StatusCode::kOk,
+       "app(\\x. x.child)(P)"},
+      {"select x from x in (select y from y in P where y.age > 3)",
+       StatusCode::kOk, "sel(\\y. (y.age > 3))(P)"},
+      {"select [x, y] from x in P, y in x.child where x.age > y.age",
+       StatusCode::kOk,
+       "flatten(app(\\x. app(\\y. [x, y])(sel(\\y. (x.age > y.age))"
+       "(x.child)))(P))"},
+      {"select x from y in P", StatusCode::kOk, "app(\\y. x)(P)"},
+      {"select x from x in P,", StatusCode::kInvalidArgument, nullptr},
+      {"select ) from x in P", StatusCode::kInvalidArgument, nullptr},
+      {"select x. from x in P", StatusCode::kInvalidArgument, nullptr},
+  };
+  for (const LanguageCase& c : cases) {
+    auto parsed = oql::ParseOql(c.text);
+    EXPECT_EQ(parsed.status().code(), c.code) << c.text << ": "
+                                              << parsed.status();
+    if (parsed.ok() && c.printed != nullptr) {
+      EXPECT_EQ(parsed.value()->ToString(), c.printed) << c.text;
+    }
+  }
+}
+
 TEST_F(OqlTest, OverlongIntegerLiteralIsErrorNotAbort) {
   // Overflows int64: the unguarded std::stoll this used to reach would
   // throw std::out_of_range and abort.
