@@ -8,8 +8,9 @@
 // is checked identical across the two modes before its timing is reported,
 // and the table is written to BENCH_rule_index.json (override with
 // --out=PATH). With --assert the process exits nonzero if the indexed
-// whole-catalog probe is slower than the linear scan -- the CI guard
-// against the index quietly becoming overhead.
+// whole-catalog probe, or the depth-4 or depth-8 hidden-join untangling,
+// is slower than the linear scan -- the CI guard against the index or the
+// incremental fixpoint sweeps quietly becoming overhead.
 
 #include <benchmark/benchmark.h>
 
@@ -43,6 +44,8 @@ struct Mode {
 
 constexpr Mode kLinear{false};
 constexpr Mode kIndexed{true};
+
+using WorkloadFn = std::function<std::string(const Mode&, int)>;
 
 Rewriter MakeRewriter(const Mode& mode) {
   return Rewriter(nullptr, RewriterOptions{.use_rule_index = mode.indexed});
@@ -126,6 +129,24 @@ std::string UntangleGarage(const Mode& mode, int iters) {
   return digest;
 }
 
+/// Hidden-join untangling at `depth`: the pipeline's longest fixpoints
+/// (123 firings at depth 8), where every indexed sweep after a call's
+/// first re-probes only the nodes the previous firing rebuilt.
+WorkloadFn UntangleDepth(int depth) {
+  return [depth](const Mode& mode, int iters) {
+    Rewriter rewriter = MakeRewriter(mode);
+    auto query = MakeHiddenJoinQuery(depth);
+    KOLA_CHECK_OK(query.status());
+    std::string digest;
+    for (int i = 0; i < iters; ++i) {
+      auto result = UntangleHiddenJoin(query.value(), rewriter);
+      KOLA_CHECK_OK(result.status());
+      digest = TraceDigest(result->trace, result->query);
+    }
+    return digest;
+  };
+}
+
 /// Rule-based join exploration on a filtered self-join.
 std::string JoinExploration(const Mode& mode, int iters) {
   Rewriter rewriter = MakeRewriter(mode);
@@ -156,8 +177,6 @@ std::string JoinExploration(const Mode& mode, int iters) {
 // Harness: time each workload in both modes, check digests agree, emit the
 // table and BENCH_rule_index.json.
 // ---------------------------------------------------------------------------
-
-using WorkloadFn = std::function<std::string(const Mode&, int)>;
 
 struct Row {
   std::string name;
@@ -206,6 +225,8 @@ std::vector<Row> RunTable() {
   run("bench_matching/join_exploration", JoinExploration, 3);
   run("bench_rule_pool/fig4_fixpoints", Fig4Fixpoints, 60);
   run("bench_hidden_join/untangle_garage", UntangleGarage, 40);
+  run("bench_hidden_join/untangle_depth4", UntangleDepth(4), 20);
+  run("bench_hidden_join/untangle_depth8", UntangleDepth(8), 8);
   std::printf("\n");
   return rows;
 }
@@ -298,14 +319,20 @@ int main(int argc, char** argv) {
   std::vector<kola::Row> rows = kola::RunTable();
   kola::WriteJson(rows, out);
   if (assert_not_slower) {
+    // The whole-catalog probe guards the index itself; the deep untangling
+    // rows guard the incremental fixpoint sweeps built on it.
+    const char* guarded[] = {"bench_matching/whole_catalog_apply_once",
+                             "bench_hidden_join/untangle_depth4",
+                             "bench_hidden_join/untangle_depth8"};
     for (const kola::Row& row : rows) {
-      if (row.name == "bench_matching/whole_catalog_apply_once" &&
-          row.speedup < 1.0) {
-        std::fprintf(stderr,
-                     "FAIL: indexed whole-catalog apply-once is slower than "
-                     "the linear scan (%.2fx)\n",
-                     row.speedup);
-        return 1;
+      for (const char* name : guarded) {
+        if (row.name == name && row.speedup < 1.0) {
+          std::fprintf(stderr,
+                       "FAIL: indexed %s is slower than the linear scan "
+                       "(%.2fx)\n",
+                       name, row.speedup);
+          return 1;
+        }
       }
     }
   }

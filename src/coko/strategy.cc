@@ -14,7 +14,7 @@ class FirstOfStrategy : public Strategy {
   StatusOr<StrategyResult> Run(const TermPtr& term, const Rewriter& rewriter,
                                Trace* trace) const override {
     RewriteStep step;
-    if (auto result = rewriter.ApplyAnyOnce(rules_.rules(), term, &step)) {
+    if (auto result = rewriter.ApplyAnyOnce(rules_, term, &step)) {
       if (trace != nullptr) {
         if (trace->initial == nullptr) trace->initial = term;
         trace->steps.push_back(std::move(step));

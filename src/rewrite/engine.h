@@ -132,6 +132,11 @@ class Rewriter {
                                       const TermPtr& term,
                                       RewriteStep* step) const;
 
+  /// As above over a fixed rule set, reusing its precomputed fingerprint.
+  std::optional<TermPtr> ApplyAnyOnce(const RuleSet& rules,
+                                      const TermPtr& term,
+                                      RewriteStep* step) const;
+
   /// Tries each rule in order at the ROOT position only; first success
   /// wins. `index` (optional) is a compiled index for exactly `rules`
   /// (from IndexFor) consulted to skip rules whose lhs cannot match here;
@@ -162,7 +167,10 @@ class Rewriter {
 
   /// Repeats ApplyAnyOnce until no rule fires. RESOURCE_EXHAUSTED after
   /// `max_steps` firings (non-terminating rule sets are a bug in the
-  /// caller's rule selection, but must not hang the optimizer).
+  /// caller's rule selection, but must not hang the optimizer). With the
+  /// rule index, sweeps after the first re-probe only the subtrees the
+  /// previous firing changed; steps and results are those of the linear
+  /// scan.
   StatusOr<TermPtr> Fixpoint(const std::vector<Rule>& rules, TermPtr term,
                              Trace* trace, int max_steps = 10'000) const;
 
@@ -175,6 +183,12 @@ class Rewriter {
 
  private:
   bool ConditionsHold(const Rule& rule, const Bindings& bindings) const;
+
+  /// ApplyAnyOnce's body; `fingerprint` is RuleSetFingerprint(rules).
+  std::optional<TermPtr> ApplyAnyOnceImpl(const std::vector<Rule>& rules,
+                                          uint64_t fingerprint,
+                                          const TermPtr& term,
+                                          RewriteStep* step) const;
 
   /// Fixpoint's body; `fingerprint` is RuleSetFingerprint(rules).
   StatusOr<TermPtr> FixpointImpl(const std::vector<Rule>& rules,
@@ -198,6 +212,11 @@ class Rewriter {
                                              const TermPtr& term,
                                              RewriteStep* step,
                                              const RuleIndex& index) const;
+
+  /// One Fixpoint call's per-subtree redex summaries, keyed by node
+  /// identity: every indexed sweep after the call's first re-probes only
+  /// the nodes the previous firing built (defined in engine.cc).
+  class SubtreeSummaries;
 
   const PropertyStore* properties_;
   RewriterOptions options_;

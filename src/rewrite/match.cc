@@ -1,6 +1,7 @@
 #include "rewrite/match.h"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 
 #include "common/macros.h"
@@ -49,39 +50,76 @@ std::string Bindings::ToString() const {
 
 namespace {
 
-/// Names bound by the current MatchTerm call, in binding order, so a
-/// failure anywhere in the pattern can unwind exactly the bindings this
-/// call introduced (pre-seeded ones are left alone).
-using BindTrail = std::vector<const std::string*>;
+/// Records MatchTerm's bindings in its Bindings, with the names this call
+/// bound in binding order, so a failure anywhere in the pattern can unwind
+/// exactly the bindings this call introduced (pre-seeded ones are left
+/// alone).
+struct TrailBinder {
+  Bindings* bindings;
+  std::vector<const std::string*> trail;
 
-bool BindTracked(const TermPtr& pattern, TermPtr term, Bindings* bindings,
-                 BindTrail* trail) {
-  bool newly_bound = false;
-  if (!bindings->Bind(pattern->name(), std::move(term), &newly_bound)) {
+  bool Bind(const TermPtr& pattern, TermPtr term) {
+    bool newly_bound = false;
+    if (!bindings->Bind(pattern->name(), std::move(term), &newly_bound)) {
+      return false;
+    }
+    // The name string outlives the trail: it lives in the pattern term,
+    // which the caller holds for the whole match.
+    if (newly_bound) trail.push_back(&pattern->name());
+    return true;
+  }
+
+  bool BindLiteral(const TermPtr& pattern, const Value& value) {
+    return Bind(pattern, Lit(value));
+  }
+};
+
+/// Matches' bindings: each metavariable's name and the subterm slot it
+/// matched, held inline. Where MatchTerm would allocate -- more
+/// metavariables than fit, or a pair literal component to wrap in a fresh
+/// node -- it fails the probe and marks it undecided.
+struct ProbeBinder {
+  std::array<std::pair<const std::string*, const TermPtr*>, 8> bound;
+  size_t size = 0;
+  bool undecided = false;
+
+  bool Bind(const TermPtr& pattern, const TermPtr& term) {
+    for (size_t i = 0; i < size; ++i) {
+      if (*bound[i].first == pattern->name()) {
+        return Term::Equal(*bound[i].second, term);
+      }
+    }
+    if (size == bound.size()) {
+      undecided = true;
+      return false;
+    }
+    // `term` is a child slot of the matched term (or the caller's root),
+    // which outlives the probe.
+    bound[size++] = {&pattern->name(), &term};
+    return true;
+  }
+
+  bool BindLiteral(const TermPtr&, const Value&) {
+    undecided = true;
     return false;
   }
-  // The name string outlives the trail: it lives in the pattern term, which
-  // the caller holds for the whole match.
-  if (newly_bound) trail->push_back(&pattern->name());
-  return true;
-}
+};
 
 /// Matches `pattern` against the components of a pair-valued literal (the
 /// parser folds literal pairs into single literal nodes) without
 /// materializing a Lit node per component: only a metavariable binding
 /// allocates, and that allocation is the binding itself.
+template <typename Binder>
 bool MatchLiteralValue(const TermPtr& pattern, const Value& value,
-                       Bindings* bindings, BindTrail* trail) {
+                       Binder* binder) {
   if (pattern->is_metavar()) {
     Sort actual = value.is_bool() ? Sort::kBool : Sort::kObject;
     if (!SortMatches(pattern->sort(), actual)) return false;
-    return BindTracked(pattern, Lit(value), bindings, trail);
+    return binder->BindLiteral(pattern, value);
   }
   if (pattern->kind() == TermKind::kPairObj && value.is_pair()) {
-    return MatchLiteralValue(pattern->child(0), value.first(), bindings,
-                             trail) &&
-           MatchLiteralValue(pattern->child(1), value.second(), bindings,
-                             trail);
+    return MatchLiteralValue(pattern->child(0), value.first(), binder) &&
+           MatchLiteralValue(pattern->child(1), value.second(), binder);
   }
   if (pattern->kind() == TermKind::kLiteral) {
     return Value::Compare(pattern->literal(), value) == 0;
@@ -90,16 +128,16 @@ bool MatchLiteralValue(const TermPtr& pattern, const Value& value,
   return false;
 }
 
-bool MatchImpl(const TermPtr& pattern, const TermPtr& term,
-               Bindings* bindings, BindTrail* trail) {
+template <typename Binder>
+bool MatchImpl(const TermPtr& pattern, const TermPtr& term, Binder* binder) {
   if (pattern->is_metavar()) {
     if (!SortMatches(pattern->sort(), term->sort())) return false;
-    return BindTracked(pattern, term, bindings, trail);
+    return binder->Bind(pattern, term);
   }
   // A [x, y] pattern decomposes a pair-valued literal.
   if (pattern->kind() == TermKind::kPairObj &&
       term->kind() == TermKind::kLiteral && term->literal().is_pair()) {
-    return MatchLiteralValue(pattern, term->literal(), bindings, trail);
+    return MatchLiteralValue(pattern, term->literal(), binder);
   }
   if (pattern->kind() != term->kind()) return false;
   switch (pattern->kind()) {
@@ -119,9 +157,7 @@ bool MatchImpl(const TermPtr& pattern, const TermPtr& term,
   // a future unchecked path -- must yield a clean mismatch, not an abort.
   if (pattern->arity() != term->arity()) return false;
   for (size_t i = 0; i < pattern->arity(); ++i) {
-    if (!MatchImpl(pattern->child(i), term->child(i), bindings, trail)) {
-      return false;
-    }
+    if (!MatchImpl(pattern->child(i), term->child(i), binder)) return false;
   }
   return true;
 }
@@ -131,13 +167,22 @@ bool MatchImpl(const TermPtr& pattern, const TermPtr& term,
 bool MatchTerm(const TermPtr& pattern, const TermPtr& term,
                Bindings* bindings) {
   KOLA_CHECK(pattern != nullptr && term != nullptr && bindings != nullptr);
-  BindTrail trail;
-  if (MatchImpl(pattern, term, bindings, &trail)) return true;
+  TrailBinder binder{bindings, {}};
+  if (MatchImpl(pattern, term, &binder)) return true;
   // A failed probe leaves no trace: a non-linear pattern that binds ?f
   // early and fails late must not poison the caller's next probe against
   // the same seeded bindings.
-  for (const std::string* name : trail) bindings->Erase(*name);
+  for (const std::string* name : binder.trail) bindings->Erase(*name);
   return false;
+}
+
+bool Matches(const TermPtr& pattern, const TermPtr& term) {
+  KOLA_CHECK(pattern != nullptr && term != nullptr);
+  ProbeBinder probe;
+  if (MatchImpl(pattern, term, &probe)) return true;
+  if (!probe.undecided) return false;
+  Bindings bindings;
+  return MatchTerm(pattern, term, &bindings);
 }
 
 StatusOr<TermPtr> Substitute(const TermPtr& pattern,

@@ -59,6 +59,11 @@ class Bindings {
 bool MatchTerm(const TermPtr& pattern, const TermPtr& term,
                Bindings* bindings);
 
+/// MatchTerm(pattern, term, &fresh_bindings) without keeping the bindings:
+/// the same verdict, and no allocation for the patterns rules are made of
+/// (few metavariables, no pair-literal decomposition).
+bool Matches(const TermPtr& pattern, const TermPtr& term);
+
 /// Replaces every metavariable in `pattern` by its binding. Fails with
 /// FAILED_PRECONDITION if any metavariable is unbound (a rule whose rhs
 /// mentions variables absent from the lhs is malformed).

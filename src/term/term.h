@@ -183,6 +183,8 @@ class Term {
                          Value literal, bool bool_const,
                          std::vector<TermPtr> children);
 
+  // sizeof(Term) is part of TermInterner::TermFootprintBytes: a new field
+  // moves every memory-budget report, so per-call caches key by address.
   TermKind kind_ = TermKind::kLiteral;
   Sort sort_ = Sort::kObject;
   std::string name_;

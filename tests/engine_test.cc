@@ -146,6 +146,104 @@ TEST(RewriterTest, InferredInjectivityFiresConditionalRule) {
   EXPECT_TRUE(rewriter.ApplyAtRoot(inj, query).has_value());
 }
 
+// ---------------------------------------------------------------------------
+// The incremental fixpoint. With the rule index on, every sweep of a
+// Fixpoint call after its first answers from per-subtree summaries; the
+// linear scan re-probes every rule at every node. Both must fire the same
+// rule at the same path with the same redex, contractum and whole term.
+// ---------------------------------------------------------------------------
+
+std::string StepsText(const Trace& trace) {
+  std::string text;
+  for (const RewriteStep& step : trace.steps) {
+    text += step.rule_id + " @";
+    for (size_t i : step.path) text += " " + std::to_string(i);
+    text += " : " + step.before->ToString() + " => " +
+            step.after->ToString() + " | " + step.result->ToString() + "\n";
+  }
+  return text;
+}
+
+/// Runs `rules` to a fixpoint with the index and with the linear scan,
+/// traced and untraced (an untraced call is the only owner of the spines
+/// it replaces), and expects identical statuses, steps and results.
+/// Returns the number of steps fired.
+size_t ExpectIncrementalMatchesLinear(const std::vector<Rule>& rules,
+                                      const TermPtr& term,
+                                      const PropertyStore* store,
+                                      int max_steps = 10'000) {
+  Rewriter indexed(store, RewriterOptions{});
+  Rewriter linear(store, RewriterOptions{.use_rule_index = false});
+  Trace via_index, via_scan;
+  auto traced = indexed.Fixpoint(rules, term, &via_index, max_steps);
+  auto reference = linear.Fixpoint(rules, term, &via_scan, max_steps);
+  EXPECT_EQ(traced.status().ToString(), reference.status().ToString());
+  EXPECT_EQ(StepsText(via_index), StepsText(via_scan));
+  auto untraced = indexed.Fixpoint(rules, term, nullptr, max_steps);
+  EXPECT_EQ(untraced.status().ToString(), reference.status().ToString());
+  if (reference.ok() && traced.ok() && untraced.ok()) {
+    EXPECT_EQ(traced.value()->ToString(), reference.value()->ToString());
+    EXPECT_EQ(untraced.value()->ToString(), reference.value()->ToString());
+  }
+  return via_scan.steps.size();
+}
+
+TEST(IncrementalFixpointTest, SharedSubtermFiresLeftmostPositionFirst) {
+  // One TermPtr at several positions: a firing inside the leftmost copy
+  // rebuilds that spine only, and the other copies keep their summaries.
+  TermPtr a = Q("(age o id) o id");
+  TermPtr b = Compose(a, a);
+  TermPtr term = Compose(b, Compose(b, a));
+  std::vector<Rule> rules = {MustRule("1", "?f o id", "?f")};
+  EXPECT_EQ(ExpectIncrementalMatchesLinear(rules, term, nullptr), 10u);
+
+  Rewriter rewriter;
+  Trace trace;
+  ASSERT_TRUE(rewriter.Fixpoint(rules, term, &trace).ok());
+  ASSERT_FALSE(trace.steps.empty());
+  EXPECT_EQ(trace.steps[0].path, (std::vector<size_t>{0, 0}));
+  EXPECT_EQ(trace.steps[1].path, (std::vector<size_t>{0, 0}));
+  EXPECT_EQ(trace.steps[2].path, (std::vector<size_t>{0, 1}));
+}
+
+TEST(IncrementalFixpointTest, ConditionalRulesResolveThroughPropertyStore) {
+  // injective(succ) holds, injective(succ o neg) only by inference,
+  // injective(age) not at all: the summaries must fire exactly where the
+  // linear scan's ConditionsHold does.
+  std::vector<Rule> all = AllCatalogRules();
+  std::vector<Rule> rules = {MustRule("1", "?f o id", "?f"),
+                             FindRule(all, "ext.injective-intersect"),
+                             MustRule("2", "id o ?f", "?f")};
+  TermPtr term = Q(
+      "((intersect o (iterate(Kp(T), succ) x iterate(Kp(T), succ))) o id) "
+      "o ((id o (intersect o (iterate(Kp(T), age) x iterate(Kp(T), age)))) "
+      "o (id o (intersect o (iterate(Kp(T), succ o neg) x "
+      "iterate(Kp(T), succ o neg)))))");
+  PropertyStore store = PropertyStore::Default();
+  EXPECT_EQ(ExpectIncrementalMatchesLinear(rules, term, &store), 5u);
+  // Without a store the conditional rule never fires.
+  EXPECT_EQ(ExpectIncrementalMatchesLinear(rules, term, nullptr), 3u);
+}
+
+TEST(IncrementalFixpointTest, LongFixpointMatchesLinearScan) {
+  // Many sweeps over one growing-then-shrinking term: every summary the
+  // firings do not touch is reused, every rebuilt spine re-summarized.
+  TermPtr term = Q("age");
+  for (int i = 0; i < 40; ++i) {
+    term = i % 3 == 0 ? Compose(Id(), Compose(term, Id()))
+                      : Compose(term, Compose(Id(), Q("name o id")));
+  }
+  std::vector<Rule> rules = {MustRule("1", "?f o id", "?f"),
+                             MustRule("2", "id o ?f", "?f")};
+  EXPECT_GT(ExpectIncrementalMatchesLinear(rules, term, nullptr), 60u);
+}
+
+TEST(IncrementalFixpointTest, ExhaustedBudgetTruncatesTheSameTrace) {
+  std::vector<Rule> rules = {MustRule("swap", "?f o ?g", "?g o ?f")};
+  TermPtr term = Q("(age o name) o (id o age)");
+  EXPECT_EQ(ExpectIncrementalMatchesLinear(rules, term, nullptr, 50), 50u);
+}
+
 TEST(TraceTest, ToStringShowsDerivation) {
   Rewriter rewriter;
   std::vector<Rule> rules = {MustRule("1", "?f o id", "?f")};

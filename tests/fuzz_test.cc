@@ -185,6 +185,31 @@ TEST_P(FuzzTest, MatcherNeverAbortsOnCatalogPatternsAndRoundTrips) {
   EXPECT_GT(matched, 0);
 }
 
+TEST_P(FuzzTest, MatchesAgreesWithMatchTermAtEverySubterm) {
+  // The allocation-free probe the incremental fixpoint summarizes with
+  // must give MatchTerm's verdict for every catalog lhs at every subterm.
+  std::vector<Rule> rules = AllCatalogRules();
+  int matched = 0;
+  for (int i = 0; i < 20; ++i) {
+    auto fn = gen_.RandomFn(gen_.RandomType(2), gen_.RandomType(2), 3);
+    ASSERT_TRUE(fn.ok()) << fn.status();
+    std::vector<TermPtr> stack = {fn.value()};
+    while (!stack.empty()) {
+      TermPtr node = stack.back();
+      stack.pop_back();
+      for (const TermPtr& child : node->children()) stack.push_back(child);
+      for (const Rule& rule : rules) {
+        Bindings bindings;
+        const bool expected = MatchTerm(rule.lhs, node, &bindings);
+        matched += expected ? 1 : 0;
+        EXPECT_EQ(Matches(rule.lhs, node), expected)
+            << rule.id << " at " << node->ToString();
+      }
+    }
+  }
+  EXPECT_GT(matched, 0);
+}
+
 TEST_P(FuzzTest, PairPatternsOnRandomLiteralsNeverAbort) {
   // Pair patterns against folded literal values of arbitrary shapes: every
   // probe must resolve to a clean boolean, including deep shape mismatches.
@@ -305,6 +330,63 @@ TEST_P(FuzzTest, IndexedAndLinearScansAgreeOnRandomCatalogs) {
     }
   }
   EXPECT_GT(fired, 0);
+}
+
+TEST_P(FuzzTest, IncrementalFixpointMatchesLinearOnSharedTermsAndBudgets) {
+  // Indexed Fixpoint calls answer every sweep after the first from
+  // per-subtree summaries keyed by node identity. Against the linear scan
+  // they must fire the same rule at the same path with the same redex and
+  // contractum, on terms where one node sits at several positions, with
+  // and without a trace holding the old spines, and must exhaust a small
+  // step budget with the same status and the same truncated trace.
+  std::vector<Rule> all = AllCatalogRules();
+  Rewriter indexed;
+  Rewriter linear(nullptr, RewriterOptions{.use_rule_index = false});
+  auto steps_text = [](const Trace& trace) {
+    std::string text;
+    for (const RewriteStep& step : trace.steps) {
+      text += step.rule_id + " @";
+      for (size_t i : step.path) text += " " + std::to_string(i);
+      text += " : " + step.before->ToString() + " => " +
+              step.after->ToString() + " | " + step.result->ToString() +
+              "\n";
+    }
+    return text;
+  };
+  int exhausted = 0;
+  int long_runs = 0;
+  for (int round = 0; round < 10; ++round) {
+    std::vector<Rule> rules = RandomCatalog(all, &rng_);
+    for (int t = 0; t < 4; ++t) {
+      auto fn = gen_.RandomFn(gen_.RandomType(2), gen_.RandomType(2), 3);
+      ASSERT_TRUE(fn.ok()) << fn.status();
+      // The generated term twice over, both positions one pointer.
+      const TermPtr shared = Compose(fn.value(), fn.value());
+      const TermPtr term = Compose(shared, Compose(fn.value(), shared));
+      const int max_steps = 20 + static_cast<int>(rng_.Index(60));
+      Trace via_index, via_scan;
+      auto result_i = indexed.Fixpoint(rules, term, &via_index, max_steps);
+      auto result_l = linear.Fixpoint(rules, term, &via_scan, max_steps);
+      auto untraced = indexed.Fixpoint(rules, term, nullptr, max_steps);
+      ASSERT_EQ(result_i.status().ToString(), result_l.status().ToString())
+          << term->ToString();
+      ASSERT_EQ(untraced.status().ToString(), result_l.status().ToString())
+          << term->ToString();
+      EXPECT_EQ(steps_text(via_index), steps_text(via_scan))
+          << term->ToString();
+      if (result_l.ok()) {
+        EXPECT_TRUE(Term::Equal(result_i.value(), result_l.value()));
+        EXPECT_TRUE(Term::Equal(untraced.value(), result_l.value()));
+      } else {
+        ++exhausted;
+      }
+      if (via_scan.steps.size() >= 4) ++long_runs;
+    }
+  }
+  // Both outcomes occur for every seed (6-15 exhausted, 18-28 runs of
+  // four or more steps, out of 40).
+  EXPECT_GT(exhausted, 0);
+  EXPECT_GT(long_runs, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range(0, 5));

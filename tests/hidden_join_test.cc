@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/macros.h"
 #include "eval/evaluator.h"
+#include "optimizer/code_motion.h"
 #include "optimizer/hidden_join.h"
 #include "optimizer/monolithic.h"
+#include "optimizer/optimizer.h"
 #include "rewrite/engine.h"
 #include "term/parser.h"
 #include "values/car_world.h"
@@ -179,6 +185,130 @@ TEST_F(HiddenJoinTest, MakeHiddenJoinQueryShapes) {
   auto q3 = MakeHiddenJoinQuery(3);
   ASSERT_TRUE(q3.ok());
   EXPECT_GT(q3.value()->node_count(), q1.value()->node_count());
+}
+
+// ---------------------------------------------------------------------------
+// The incremental fixpoint against the linear reference scan. Indexed
+// Fixpoint calls re-summarize only the subtrees a firing rebuilt; the
+// linear scan re-probes every rule at every node. Both must fire the same
+// rule at the same path with the same before/after/result terms, on the
+// long hidden-join fixpoints and on the other paper queries.
+// ---------------------------------------------------------------------------
+
+/// Every step of a derivation (rule, path, redex, contractum, whole term)
+/// and the final term, rendered one step per line.
+std::string DerivationText(const Trace& trace, const TermPtr& final_term) {
+  std::string text;
+  for (const RewriteStep& step : trace.steps) {
+    text += step.rule_id + " @";
+    for (size_t i : step.path) text += " " + std::to_string(i);
+    text += " : " + step.before->ToString() + " => " +
+            step.after->ToString() + " | " + step.result->ToString() + "\n";
+  }
+  return text + "= " + final_term->ToString() + "\n";
+}
+
+Rewriter LinearRewriter() {
+  return Rewriter(nullptr, RewriterOptions{.use_rule_index = false});
+}
+
+/// The paper queries the differential runs over: hidden joins at depth
+/// 1-10, the garage query KG1 and the code-motion queries K3/K4.
+std::vector<TermPtr> DifferentialQueries() {
+  std::vector<TermPtr> queries;
+  for (int depth = 1; depth <= 10; ++depth) {
+    auto query = MakeHiddenJoinQuery(depth);
+    KOLA_CHECK_OK(query.status());
+    queries.push_back(query.value());
+  }
+  queries.push_back(GarageQueryKG1());
+  queries.push_back(QueryK3());
+  queries.push_back(QueryK4());
+  return queries;
+}
+
+/// Runs the hidden-join blocks without a trace, so each Fixpoint call is
+/// the only owner of the spines it replaces.
+TermPtr UntangleUntraced(const TermPtr& query, const Rewriter& rewriter) {
+  TermPtr term = query;
+  for (const RuleBlock& block : HiddenJoinBlocks()) {
+    auto result = block.Apply(term, rewriter, nullptr);
+    KOLA_CHECK_OK(result.status());
+    term = result->term;
+  }
+  return term;
+}
+
+TEST(IncrementalFixpointTest, UntangleMatchesLinearScanWithTrace) {
+  Rewriter indexed;
+  Rewriter linear = LinearRewriter();
+  for (const TermPtr& query : DifferentialQueries()) {
+    auto via_index = UntangleHiddenJoin(query, indexed);
+    auto via_scan = UntangleHiddenJoin(query, linear);
+    ASSERT_TRUE(via_index.ok()) << via_index.status();
+    ASSERT_TRUE(via_scan.ok()) << via_scan.status();
+    EXPECT_EQ(DerivationText(via_index->trace, via_index->query),
+              DerivationText(via_scan->trace, via_scan->query))
+        << query->ToString();
+    EXPECT_EQ(via_index->blocks_fired, via_scan->blocks_fired);
+  }
+}
+
+TEST(IncrementalFixpointTest, UntangleMatchesLinearScanWithoutTrace) {
+  Rewriter indexed;
+  Rewriter linear = LinearRewriter();
+  for (const TermPtr& query : DifferentialQueries()) {
+    TermPtr via_index = UntangleUntraced(query, indexed);
+    TermPtr via_scan = UntangleUntraced(query, linear);
+    EXPECT_EQ(via_index->ToString(), via_scan->ToString())
+        << query->ToString();
+    auto traced = UntangleHiddenJoin(query, indexed);
+    ASSERT_TRUE(traced.ok());
+    EXPECT_EQ(via_index->ToString(), traced->query->ToString());
+  }
+}
+
+TEST(IncrementalFixpointTest, WholePipelineMatchesLinearScan) {
+  CarWorldOptions options;
+  options.num_persons = 14;
+  options.num_vehicles = 9;
+  auto db = BuildCarWorld(options);
+  PropertyStore store = PropertyStore::Default();
+  Optimizer indexed(&store, db.get(), RewriterOptions{});
+  Optimizer linear(&store, db.get(),
+                   RewriterOptions{.use_rule_index = false});
+  for (const TermPtr& query : DifferentialQueries()) {
+    auto via_index = indexed.Optimize(query);
+    auto via_scan = linear.Optimize(query);
+    ASSERT_TRUE(via_index.ok()) << via_index.status();
+    ASSERT_TRUE(via_scan.ok()) << via_scan.status();
+    EXPECT_EQ(DerivationText(via_index->trace, via_index->query),
+              DerivationText(via_scan->trace, via_scan->query))
+        << query->ToString();
+  }
+}
+
+TEST(IncrementalFixpointTest, HiddenJoinDerivationDigestsArePinned) {
+  // FNV-1a digests of DerivationText for the depth 1-10 untanglings,
+  // recorded before the fixpoint became incremental: any change to a
+  // fired rule, a path or an intermediate term moves them.
+  const uint64_t kPinned[] = {
+      0xc9883a2fc9c21293ULL, 0x0e0c6f2457820f76ULL, 0x79a0650e8d2c0bbaULL,
+      0x3523ba8959a49bd4ULL, 0x544c86748960f7deULL, 0x15c7020887864b13ULL,
+      0x26a669fde13f2359ULL, 0xa18e68119a8b6663ULL, 0x777b86f9ad5d5146ULL,
+      0x9010e7106c33248dULL,
+  };
+  Rewriter rewriter;
+  for (int depth = 1; depth <= 10; ++depth) {
+    auto query = MakeHiddenJoinQuery(depth);
+    ASSERT_TRUE(query.ok());
+    auto result = UntangleHiddenJoin(query.value(), rewriter);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const uint64_t digest =
+        StableStringHash(DerivationText(result->trace, result->query));
+    EXPECT_EQ(digest, kPinned[depth - 1])
+        << "depth " << depth << ": 0x" << std::hex << digest;
+  }
 }
 
 }  // namespace

@@ -192,6 +192,37 @@ TEST(MatchTest, PaperRule11Pattern) {
   EXPECT_TRUE(Term::Equal(*b.Lookup("g"), P("addr")));
 }
 
+TEST(MatchesTest, AgreesWithMatchTermWithoutBindings) {
+  // Matches is MatchTerm's verdict against fresh bindings, on every path:
+  // linear and non-linear patterns, sort guards, literals, and the pair
+  // literal decomposition and many-variable patterns it hands to MatchTerm.
+  const std::pair<TermPtr, TermPtr> cases[] = {
+      {P("?f o id"), P("age o id")},
+      {P("?f o id"), P("id o age")},
+      {P("?f o ?f"), P("age o age")},
+      {P("?f o ?f"), P("age o name")},
+      {P("?f o ?f"), P("(age o id) o (age o id)")},
+      {P("?f"), P("gt", Sort::kPredicate)},
+      {P("?k", Sort::kObject), P("gt ? [1, 2]", Sort::kObject)},
+      {P("iterate(?p, ?f) o iterate(?q, ?g)"),
+       P("iterate(Kp(T), city) o iterate(Kp(T), addr)")},
+      {P("[?x, ?y]", Sort::kObject), P("[1, 2]", Sort::kObject)},
+      {P("[?x, ?x]", Sort::kObject), P("[1, 1]", Sort::kObject)},
+      {P("[?x, ?x]", Sort::kObject), P("[1, 2]", Sort::kObject)},
+      {P("[3, ?y]", Sort::kObject), P("[1, 2]", Sort::kObject)},
+      // Nine metavariables: more than the probe tracks inline.
+      {P("(?f1, ?f2) o (?f3, ?f4) o (?f5, ?f6) o (?f7, ?f8) o (?f9, ?f1)"),
+       P("(age, id) o (id, id) o (name, id) o (id, age) o (id, age)")},
+      {P("(?f1, ?f2) o (?f3, ?f4) o (?f5, ?f6) o (?f7, ?f8) o (?f9, ?f1)"),
+       P("(age, id) o (id, id) o (name, id) o (id, age) o (id, id)")},
+  };
+  for (const auto& [pattern, term] : cases) {
+    Bindings bindings;
+    EXPECT_EQ(Matches(pattern, term), MatchTerm(pattern, term, &bindings))
+        << pattern->ToString() << " against " << term->ToString();
+  }
+}
+
 TEST(SubstituteTest, ReplacesAllOccurrences) {
   Bindings b;
   b.Bind("f", P("city"));
